@@ -28,7 +28,10 @@ def html_text_to_text(html_text: str) -> str:
     """
     if html_text is None:
         return ""
-    return _html.unescape(_TAG_RE.sub("", str(html_text)))
+    text = str(html_text)
+    if "<" in text:  # the tag pattern needs one; unescape checks for "&" itself
+        text = _TAG_RE.sub("", text)
+    return _html.unescape(text)
 
 
 def leaf_nodes(obj, ret: list | None = None) -> list:

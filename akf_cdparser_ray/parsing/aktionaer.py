@@ -10,7 +10,8 @@ import re
 
 from ..functions import regex_lib as rl
 from ..functions import text_utils as tu
-from .checkfiles import js_stringify
+
+_COMMA_SEMI_RE = re.compile(r",|;")
 
 
 def parse_aktionaer(aktionaer_lines: list[str], originline: int = -1,
@@ -51,7 +52,7 @@ def parse_aktionaer(aktionaer_lines: list[str], originline: int = -1,
             if b != "":
                 currentline = currentline.replace(b, "", 1).replace("()", "", 1)
 
-        split = re.split(r",|;", currentline.strip())
+        split = _COMMA_SEMI_RE.split(currentline.strip())
         if split and split[-1] == "":
             split = split[:-1]
         if split and len(split) >= 1 and "Aktionär" in split[0]:
@@ -73,7 +74,7 @@ def parse_aktionaer(aktionaer_lines: list[str], originline: int = -1,
         }
         manager = {k: v for k, v in manager.items() if v}
         if cfw is not None:  # ref :121
-            cfw(originline, raw, js_stringify(manager))
+            cfw(originline, raw, manager)
         if not tu.is_object_empty(manager):
             ret.append(manager)
     return ret
@@ -106,7 +107,7 @@ def parse_anteils_eigner(lines: list[str], originline: int = -1,
         manager = {"eigner": eigner, "anteil": anteil, "bemerkung": bemerkung}
         manager = {k: v for k, v in manager.items() if v}
         if cfw is not None:  # ref :190
-            cfw(originline, raw_line, js_stringify(manager))
+            cfw(originline, raw_line, manager)
         out.append(manager)
     return out
 

@@ -151,12 +151,13 @@ def render_checkfiles(rows: list[dict]) -> dict[str, str]:
     """Rows → {filename: exact reference file content}
     (``checkfileWriter.js:160-185``). Every configured file exists, empty if
     untouched (clearCheckfilesAtStart semantics)."""
-    out = {fname: "" for fname, _on in CONFIG.values()}
+    parts: dict[str, list[str]] = {fname: [] for fname, _on in CONFIG.values()}
     for row in rows:
-        fname = CONFIG[row["key"]][0]
+        part = parts[CONFIG[row["key"]][0]]
         if row["kind"] == "header":
-            out[fname] += row["origin"] + "\r\n"
+            part.append(row["origin"] + "\r\n")
         else:
-            out[fname] += "origin: " + row["origin"] + " \r\n"
-            out[fname] += "parsed " + row["parsed"] + "\r\n "
-    return out
+            part.append("origin: " + row["origin"] + " \r\n")
+            part.append("parsed " + row["parsed"] + "\r\n ")
+    # joined once per file: += on a dict value copies the whole file per row
+    return {fname: "".join(part) for fname, part in parts.items()}

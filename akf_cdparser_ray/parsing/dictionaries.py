@@ -14,7 +14,9 @@ actor state: built once per ``map_batches`` actor in ``__init__``
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import os
 import re
 
@@ -36,6 +38,21 @@ _FALLBACK_FUNCTS = [
     "Arbeitnehmervertreter", "Vorsitzender", "Mitglied", "Geschäftsführer",
     "Sprecher", "Finanzen", "Marketing und Vertrieb", "Personal",
 ]
+
+FALLBACK_SOURCE = "embedded fallback"
+_fallback_warned = False
+
+
+def _warn_fallback() -> None:
+    """The fallback changes captions: say so, once per process."""
+    global _fallback_warned
+    if not _fallback_warned:
+        _fallback_warned = True
+        logging.getLogger(__name__).warning(
+            "no dictfiles at %s: using the embedded fallback dictionaries "
+            "(%d titles, %d functions); captions differ from the full set",
+            _REFERENCE_DICTFILES, len(_FALLBACK_TITLES), len(_FALLBACK_FUNCTS))
+
 
 LDIST_THRESHOLD = 10  # ref dictionaryHandler.js:20
 
@@ -85,6 +102,9 @@ def _load_rows(path: str) -> list[str]:
 class Dictionaries:
     """Loaded + length-desc-sorted title and funct dictionaries.
 
+    ``source`` is the dictfiles directory or :data:`FALLBACK_SOURCE`;
+    ``fingerprint`` is the sha256 of the sorted rows.
+
     Sorting desc by entry length (ref dictionaryHandler.js:302-313) makes the
     longest entry win the substring scan.
     """
@@ -96,11 +116,21 @@ class Dictionaries:
         if d:
             titles = _load_rows(os.path.join(d, "dict_titles.json"))
             functs = _load_rows(os.path.join(d, "dict_functs.json"))
+            self.source = d
         else:
             titles = list(_FALLBACK_TITLES)
             functs = list(_FALLBACK_FUNCTS)
+            self.source = FALLBACK_SOURCE
+            _warn_fallback()
         self.titles = sorted(titles, key=len, reverse=True)
         self.functs = sorted(functs, key=len, reverse=True)
+        # sha256 of the sorted rows: captions (and every golden that depends
+        # on them) are only comparable between equal fingerprints
+        h = hashlib.sha256()
+        for rows in (sorted(self.titles), sorted(self.functs)):
+            h.update("\n".join(rows).encode())
+            h.update(b"\0")
+        self.fingerprint = h.hexdigest()
         self._titles_index = _build_bigram_index(self.titles)
         self._functs_index = _build_bigram_index(self.functs)
 

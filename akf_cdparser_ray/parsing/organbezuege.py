@@ -9,7 +9,6 @@ import re
 
 from ..functions import regex_lib as rl
 from ..functions import text_utils as tu
-from .checkfiles import js_stringify
 
 _WAEHRUNG_RE = re.compile(r"(TDM)|(DM)|(TEUR)|(EUR)")
 _YEAR_G_RE = re.compile(r"\d\d\d\d")
@@ -40,7 +39,7 @@ def parse_organbezuege(organbezuege: str, originline: int = -1, cfw=None) -> lis
                 wm = _WAEHRUNG_RE.search(without_year)
                 if wm is not None:
                     waehrung = wm.group(0)
-                    linesplit = re.split(re.escape(waehrung), without_year)
+                    linesplit = without_year.split(waehrung)
                     organ = linesplit[0].replace(":", "", 1).strip()
                     bezuege = rl.remove_last_comma(waehrung + " " + linesplit[1].strip())
                     if len(linesplit) > 2 and linesplit[2].strip():
@@ -55,7 +54,7 @@ def parse_organbezuege(organbezuege: str, originline: int = -1, cfw=None) -> lis
                 wm = _WAEHRUNG_RE.search(without_year)
                 if wm is not None:
                     waehrung = wm.group(0)
-                    linesplit = re.split(re.escape(waehrung), without_year)
+                    linesplit = without_year.split(waehrung)
                     if len(linesplit) > 1:
                         organ = linesplit[0].replace(":", "", 1).strip()
                         bezuege = rl.remove_last_comma(waehrung + " " + linesplit[1].strip())
@@ -69,7 +68,7 @@ def parse_organbezuege(organbezuege: str, originline: int = -1, cfw=None) -> lis
                 wm = _WAEHRUNG_RE.search(part)
                 if wm is not None:
                     waehrung = wm.group(0)
-                    linesplit = re.split(re.escape(waehrung), part)
+                    linesplit = part.split(waehrung)
                     if len(linesplit) > 1:
                         jahr = multi_year_fallback
                         organ = linesplit[0].replace(":", "", 1).strip()
@@ -82,6 +81,6 @@ def parse_organbezuege(organbezuege: str, originline: int = -1, cfw=None) -> lis
             if v:
                 out[k] = v.replace("()", "", 1)
         if cfw is not None:  # ref parser_organbezuege.js:119
-            cfw(originline, part, js_stringify(out))
+            cfw(originline, part, out)
         ret.append(out)
     return ret

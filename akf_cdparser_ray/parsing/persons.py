@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 
 from ..functions import regex_lib as rl
-from .checkfiles import js_stringify
 from ..functions import text_utils as tu
 from . import aktionaer as pa
 from .dictionaries import Dictionaries
@@ -20,6 +19,7 @@ _X_MITGLIEDER_RE = re.compile(r"\([\d]+ Mitglieder\)", re.IGNORECASE)
 _STAR_RE = re.compile(r"\*\)")
 _FUNCT_PARENS_RE = re.compile(r"\((.*?)\)")
 _SEMI_SPLIT_RE = re.compile(r"\s*;\s*")
+_MULTI_WS_RE = re.compile(r"\s{2,}")
 
 
 def detect_name_and_funct(data: str) -> dict:
@@ -168,7 +168,7 @@ def parse_vorstand(vorstand: str, dicts: Dictionaries, originline: int = -1,
     for part in tu.trim_all(_SEMI_SPLIT_RE.split(vorstand)):
         manager = check_person_line(part, dicts)
         if cfw is not None:
-            cfw(originline, part, js_stringify(manager))
+            cfw(originline, part, manager)
         out.append(manager)
     return out
 
@@ -213,7 +213,7 @@ def parse_investor_relations(lines: list[str], dicts: Dictionaries,
             fax = fm[1].strip()
             data = data.replace(fm[0], " ", 1)
 
-        name = re.split(r"\s{2,}", data)[0].strip()
+        name = _MULTI_WS_RE.split(data)[0].strip()
         rest = data.replace(name, "", 1).strip() if name else data.strip()
         if len(rest) >= 1:
             rest_of_lines.extend(rest.split(";"))
@@ -224,7 +224,7 @@ def parse_investor_relations(lines: list[str], dicts: Dictionaries,
         manager = {"name": name, "email": email, "telefon": telefon, "fax": fax, "funct": funct}
         manager = {k: v for k, v in manager.items() if v}
         if cfw is not None:  # ref parser_persons.js:361 (before the empty check)
-            cfw(originline, item, js_stringify(manager))
+            cfw(originline, item, manager)
         if not tu.is_object_empty(manager):
             return_object.append(manager)
     return {"restOfLines": rest_of_lines, "returnObject": return_object}

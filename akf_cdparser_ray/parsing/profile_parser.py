@@ -15,6 +15,7 @@ This module is pure Python: in the engine it runs inside
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from ..functions import regex_lib as rl
 from ..functions import text_utils as tu
@@ -29,7 +30,22 @@ from .dictionaries import Dictionaries, get_default
 _SEMI_SPLIT_RE = re.compile(r"\s*;\s*")
 _PARENS_RE = re.compile(r"\(([^)]+)\)")
 _DIGITS_RE = re.compile(r"\d+")
-_HEAD_RE = re.compile(r"<head>[\s\S]*</head>", re.IGNORECASE)
+# ref [\s\S]*; "." under DOTALL is the same class and sre skips it far faster
+_HEAD_RE = re.compile(r"<head>.*</head>", re.IGNORECASE | re.DOTALL)
+_TAG_RE = re.compile(r"<[^>]+>")
+_TAG_GROUP_RE = re.compile(r"(<([^>]+)>)", re.IGNORECASE)
+_BOLD_RE = re.compile(r"<b>(.*?)</b>")
+_TAIL_RE = re.compile(r"[^>]+$")
+_WS_RE = re.compile(r"\s+")
+_COMMA_SPLIT_RE = re.compile(r"\s*,\s*")
+_POBOX_RE = re.compile(r"Postfach|P\.O\.Box")
+_POBOX_ANY_RE = re.compile(r"Postfach|Postanschrift|P\.O\.Box")
+_EMAIL_RE = re.compile("e.mail")
+_WWW_RE = re.compile("Internetseite|http")
+_GRUENDUNG_RE = re.compile(r"<b>Gründung:\s*</b>")
+_AR_HEAD_RES = (re.compile(r"b>Aufsichtsrat: </b><br>", re.IGNORECASE),
+                re.compile(r"b>Aufsichtsrat:</b><br>", re.IGNORECASE),
+                re.compile(r"<br>|<|>", re.IGNORECASE))
 
 
 _JS_UNDEF = JS_UNDEF  # JS `undefined`: keys with this value vanish in JSON
@@ -43,6 +59,48 @@ _JS_UNDEF = JS_UNDEF  # JS `undefined`: keys with this value vanish in JSON
 def _wkn_entry(type_, isin, wkn, nw) -> dict:
     entry = {"type": type_, "isin": isin, "wkn": wkn, "nw": nw}
     return {k: v for k, v in entry.items() if v is not _JS_UNDEF}
+
+
+def _tables_json(tables_arr, rest) -> str:
+    """The table sections' checkfile origin: ``JSON.stringify(tablesArr,
+    null, " ") + JSON.stringify(rest)``."""
+    return js_stringify(tables_arr, 1) + js_stringify(rest)
+
+
+def _end_re(*markers: str) -> re.Pattern:
+    """One search for "any of these substrings"."""
+    return re.compile("|".join(map(re.escape, markers)))
+
+
+_KURSE_END_RE = _end_re(
+    "<center><img", "b>Dividenden", "b>Halbjahresdividenden", "b>Quartalsdividenden",
+    "</body>", "br><center><h5><table>", "<center><b>Kennzahlen", "<br><img",
+    "Wertpapier-Kenn-Nr.:")
+_DIVIDENDEN_END_RE = _end_re(
+    "<center><b>", "<br><img", "<center><img", "<br><center>", "</body>", "<br><br>",
+    "Ergebnisabführung")
+_TABLE_END_RE = _end_re("<center><b>", "<br><img", "<center><img", "<br><center>", "</body>")
+_BOERSEN_END_RE = _end_re(
+    "b>Bereinigte Kurse", "b>Kurse", "b>Dividenden", "</body>", "b>Kennzahlen")
+_WESENTLICHE_END_RE = _end_re("b>Kapital", "b>Börsen")
+
+
+def _collect_block(lines: list[str], i: int, end_re: re.Pattern) -> tuple[list[str], int]:
+    """The non-blank lines from ``lines[i]`` up to the first later non-empty
+    line that ``end_re`` finds something in; returns them and that line's
+    index (``len(lines)`` when none does)."""
+    n = len(lines)
+    block = []
+    cur = lines[i] if i < n else ""
+    while True:
+        if cur and cur.strip() != "":
+            block.append(cur)
+        i += 1
+        if i >= n:
+            return block, i
+        cur = lines[i]
+        if cur and end_re.search(cur):
+            return block, i
 
 
 def _line(lines: list[str], i: int) -> str | None:
@@ -118,8 +176,9 @@ class ProfileParser:
                 False,
             ),
         ]
+        # disabled matchers never fire and never stop the scan (ref :1897)
         self._compiled = [
-            (re.compile(pat), fn, disabled) for pat, fn, disabled in self._parse_functions
+            (re.compile(pat), fn) for pat, fn, disabled in self._parse_functions if not disabled
         ]
         # dispatch prefilter: every enabled matcher requires one of these
         # substrings in a matching line, so lines without any of them can
@@ -155,9 +214,7 @@ class ProfileParser:
         # does; only a pre-sentinel section match could ever differ)
         self._lastidx = 0
 
-        ret["_fulltext"] = re.sub(
-            r"<[^>]+>", "", _HEAD_RE.sub("", lines_str).replace("<br>", " ")
-        )
+        ret["_fulltext"] = _TAG_RE.sub("", _HEAD_RE.sub("", lines_str).replace("<br>", " "))
 
         i = 0
         guard = 0
@@ -170,14 +227,7 @@ class ProfileParser:
             if not self._prefilter.search(line_trim):
                 i += 1
                 continue
-            for pattern, fn, disabled in self._compiled:
-                if disabled or fn is None:
-                    if not disabled:
-                        continue
-                    if pattern.search(line_trim):
-                        # disabled matchers never fire (ref :1897 checks disabled)
-                        continue
-                    continue
+            for pattern, fn in self._compiled:
                 if pattern.search(line_trim):
                     res = fn(lines, i, ret)
                     i = res if res else i  # JS: i = fn(...) || i
@@ -194,11 +244,19 @@ class ProfileParser:
     def _current_count(self, key: str) -> int:
         return self._counts.get(key, 0)
 
-    # -- checkfile audit hooks (no-ops when self.audit is None) ------------
-    def _cfw(self, key: str, originline: int, origin: str, parsed: str) -> None:
-        """ref checkfileWriter.js writeToCheckfile via lib/parser.js call sites"""
+    # -- checkfile audit hooks: no-ops when self.audit is None, so no
+    # checkfile string is ever built without a sink; with one, the strings
+    # are built at the call, before the parser mutates the values further
+    def _cfw(self, key: str, originline: int, origin, parsed) -> None:
+        """ref checkfileWriter.js writeToCheckfile via the lib/parser.js call
+        sites that log ``JSON.stringify(x, null, " ")`` of both values"""
         if self.audit is not None:
-            self.audit.write(key, originline, origin, parsed)
+            self.audit.write(key, originline, js_stringify(origin, 1), js_stringify(parsed, 1))
+
+    def _cfw_item(self, key: str, originline: int, text: str, parsed) -> None:
+        """Per-item form: the raw source text and ``JSON.stringify(parsed)``."""
+        if self.audit is not None:
+            self.audit.write(key, originline, text, js_stringify(parsed))
 
     def _cfw_header(self, key: str, text: str) -> None:
         if self.audit is not None:
@@ -207,12 +265,8 @@ class ProfileParser:
     def _sub_cfw(self, key: str):
         """Per-item write callback threaded into the sub-parsers
         (parser_persons.js:192,361; parser_aktionaer…:121,190;
-        parser_organbezuege.js:119)."""
-        if self.audit is None:
-            return None
-        def cb(originline, origin, parsed):
-            self.audit.write(key, originline, origin, parsed)
-        return cb
+        parser_organbezuege.js:119); None when no sink is attached."""
+        return None if self.audit is None else partial(self._cfw_item, key)
 
     def _check_info(self, matchtheme: str, originline: int, i: int, lines: list) -> None:
         """ref parser.js:81-88 (_checkInfo → Checkfile_Index)."""
@@ -247,18 +301,13 @@ class ProfileParser:
         while True:
             cur = _line(lines, i)
             origintext.append((cur if cur is not None else "undefined") + "\r\n")
-            if cur and (
-                re.search("<td align=center>", cur) or re.search('<td align="center">', cur)
-            ):
-                m = re.search(r"<b>(.*?)</b>", cur)
+            if cur and ("<td align=center>" in cur or '<td align="center">' in cur):
+                m = _BOLD_RE.search(cur)
                 if m:
                     ret["name"] = m.group(1)
-                    self._cfw("name", originline, js_stringify(origintext, 1),
-                              js_stringify(m.group(1), 1))
+                    self._cfw("name", originline, origintext, m.group(1))
                     origintext = []
-            if cur and (
-                re.search("Wertpapier-Kenn", cur) or re.search(r"Wertpapier Kenn\.-Nr\.", cur)
-            ):
+            if cur and ("Wertpapier-Kenn" in cur or "Wertpapier Kenn.-Nr." in cur):
                 if entry_idx > 0:
                     all_wkn_entry.append(_wkn_entry(type_, isin, wkn, nw))
                     type_ = isin = wkn = nw = ""
@@ -274,7 +323,7 @@ class ProfileParser:
                         if nxt is None:
                             break
                         tm = _PARENS_RE.search(nxt)
-                        if re.search("</center>", nxt):
+                        if "</center>" in nxt:
                             break
                     if tm is None:
                         # ref: type="" then the unguarded type=type[1] makes
@@ -285,16 +334,16 @@ class ProfileParser:
                     type_ = tm.group(1)
                 entry_idx = 1
             cur = _line(lines, i)
-            if cur and re.search("ISIN:", cur):
+            if cur and "ISIN:" in cur:
                 if entry_idx > 1:
                     all_wkn_entry.append(_wkn_entry(type_, isin, wkn, nw))
                     type_ = isin = wkn = nw = ""
-                tail = re.search(r"[^>]+$", cur)
+                tail = _TAIL_RE.search(cur)
                 isin = tail.group(0) if tail else ""
                 if (
                     entry_idx == 1
-                    and (not wkn or re.search(str(wkn), str(isin)) is None)
-                    and re.search("DE", str(isin)) is not None
+                    and (not wkn or str(wkn) not in str(isin))  # wkn: digits only
+                    and "DE" in str(isin)
                 ):
                     empty = isin
                     isin = ""
@@ -312,13 +361,13 @@ class ProfileParser:
                             if nxt is None:
                                 break
                             tm2 = _PARENS_RE.search(nxt)
-                            if re.search("</center>", nxt):
+                            if "</center>" in nxt:
                                 break
                     if tm2 is not None:
                         type_ = tm2.group(1)
                 entry_idx = 2
             cur = _line(lines, i)
-            if cur and re.search("Nennwert:", cur):
+            if cur and "Nennwert:" in cur:
                 nw = cur.replace("<center><b><b>Nennwert: </b>", "", 1)
                 entry_idx = 3
             i += 1
@@ -326,16 +375,15 @@ class ProfileParser:
             end1 = end2 = True
             cur = _line(lines, i)
             if cur:
-                if re.search("<b>Sitz</b>", cur):
+                if "<b>Sitz</b>" in cur:
                     end1 = False
-                if re.search("b>Tätigkeitsgebiet", cur):
+                if "b>Tätigkeitsgebiet" in cur:
                     end2 = False
             if not (end1 and end2) or i >= n:
                 break
 
         all_wkn_entry.append(_wkn_entry(type_, isin, wkn, nw))
-        self._cfw("wknentry", originline, js_stringify(origintext, 1),
-                  js_stringify(all_wkn_entry, 1))
+        self._cfw("wknentry", originline, origintext, all_wkn_entry)
         i -= 1
         ret["all_wkn_entry"] = all_wkn_entry
         self._check_info("AKF_PARSER_START", originline, i, lines)
@@ -354,21 +402,18 @@ class ProfileParser:
             address_linearr = []
             while True:
                 cur = lines[i]
-                if not re.search("<!-- weitere Sitze -->", cur):
-                    if not re.search("<br><center><h5><table><tr>", cur):
+                if "<!-- weitere Sitze -->" not in cur:
+                    if "<br><center><h5><table><tr>" not in cur:
                         address_lines += cur
-                m = re.search("<br>", cur)
-                if m and not re.search("<br><center>", cur) and m.start() == 0:
+                if cur.startswith("<br>") and "<br><center>" not in cur:
                     address_linearr.append(address_lines)
                     address_lines = ""
                 i += 1
-                if re.search("<br><center><h5><table><tr>|</body>", lines[i]):
+                if "<br><center><h5><table><tr>" in lines[i] or "</body>" in lines[i]:
                     break
             address_linearr.append(address_lines)
             if address_linearr:
-                obj["origpost"] = re.sub(
-                    r"(<([^>]+)>)", " ", ",".join(address_linearr), flags=re.IGNORECASE
-                )
+                obj["origpost"] = _TAG_GROUP_RE.sub(" ", ",".join(address_linearr))
             for block in address_linearr:
                 address_lines = block
                 address_name = tu.trim_all(address_lines.split("</b><br>"))
@@ -379,8 +424,8 @@ class ProfileParser:
                 address_parts = tu.trim_all(address_lines.split("<br>"))
                 length = len(address_parts)
                 for idxx in range(length):
-                    if re.search("PLZ", address_parts[idxx]):
-                        toks = re.split(r"\s+", address_parts[idxx])
+                    if "PLZ" in address_parts[idxx]:
+                        toks = _WS_RE.split(address_parts[idxx])
                         obj["lcustomerzip"] = toks[1] if len(toks) > 1 else ""
                         rest_toks = toks[2:]
                         # JS leaves the property undefined on an empty
@@ -397,16 +442,16 @@ class ProfileParser:
                 # no guard here: the reference indexes [0] unchecked and its
                 # try/catch abandons the whole section on an empty block —
                 # filtered[0] raising IndexError reproduces that exactly
-                if "," not in filtered[0] and not re.search(r"[(]", filtered[0]):
+                if "," not in filtered[0] and "(" not in filtered[0]:
                     obj["city"] = filtered[0]
                     if len(filtered) > 1:
                         filtered = [p for p in address_parts if p]
                         filtered.pop(0)
                 sec = [p for p in filtered if p]
-                if re.search(r"Postfach|P\.O\.Box", sec[0]) is None:
+                if _POBOX_RE.search(sec[0]) is None:
                     first = filtered.pop(0) if filtered else ""
                     if "," in first:
-                        stripped0 = re.sub(r"\d+", "", sec[0])
+                        stripped0 = _DIGITS_RE.sub("", sec[0])
                         if stripped0 and stripped0.split()[0][0] == ",":
                             inputarr = sec[0].replace(",", "", 1)
                             street_with_number = inputarr.split(",")[0]
@@ -417,9 +462,9 @@ class ProfileParser:
                             swn_cwz = tu.trim_all(sec.pop(0).split(","))
                             street_with_number = swn_cwz[0]
                             city_with_zip = swn_cwz[1] if len(swn_cwz) > 1 else ""
-                        toks = re.split(r"\s+", street_with_number)
+                        toks = _WS_RE.split(street_with_number)
                         if len(toks) != 1:
-                            if re.fullmatch(r"\d+", street_with_number[0] or " "):
+                            if _DIGITS_RE.fullmatch(street_with_number[0] or " "):
                                 obj["street_number"] = toks[0]
                                 obj["street"] = " ".join(toks[1:])
                             else:
@@ -431,7 +476,7 @@ class ProfileParser:
                         else:
                             obj["street"] = street_with_number
                             obj["street_number"] = ""
-                        cz = re.split(r"\s+", city_with_zip.lstrip())
+                        cz = _WS_RE.split(city_with_zip.lstrip())
                         obj["zip"] = cz[0] if cz else ""
                         city_toks = cz[1:]
                         obj["city"] = (
@@ -443,12 +488,12 @@ class ProfileParser:
                     else:
                         obj["city"] = sec[0]
                 for address_part in sec:
-                    if re.search(r"Postfach|Postanschrift|P\.O\.Box", address_part):
+                    if _POBOX_ANY_RE.search(address_part):
                         k, v = tu.split_at_first(address_part, ",")
-                        ktoks = re.split(r"\s+", k.lstrip())
+                        ktoks = _WS_RE.split(k.lstrip())
                         if len(ktoks) > 1:
                             obj["POBox"] = " ".join(ktoks[1:])
-                        vtoks = re.split(r"\s+", v.lstrip())
+                        vtoks = _WS_RE.split(v.lstrip())
                         if len(vtoks) > 1:
                             obj["zipPOBox"] = vtoks[0]
                             obj["cityPOBox"] = " ".join(vtoks[1: len(ktoks)])
@@ -459,20 +504,19 @@ class ProfileParser:
                         k, v = tu.split_at_first(address_part, ":")
                         if not k:
                             continue
-                        if re.search("Telefon", k):
+                        if "Telefon" in k:
                             obj["phone"] = v
-                        elif re.search("Telefax", k):
+                        elif "Telefax" in k:
                             obj["fax"] = v
-                        elif re.search("e.mail", k):
-                            obj["email"] = re.split(r"\s*,\s*", v)
-                        elif re.search("Internetseite|http", k):
-                            obj["www"] = re.split(r"\s*,\s*", v)
-                        elif re.search("T-Online", k):
-                            obj["tonline"] = re.split(r"\s*,\s*", v)
+                        elif _EMAIL_RE.search(k):
+                            obj["email"] = _COMMA_SPLIT_RE.split(v)
+                        elif _WWW_RE.search(k):
+                            obj["www"] = _COMMA_SPLIT_RE.split(v)
+                        elif "T-Online" in k:
+                            obj["tonline"] = _COMMA_SPLIT_RE.split(v)
                 ret_temp.append(obj)
                 obj = {}
-            self._cfw("sitz", originline, js_stringify(address_linearr, 1),
-                      js_stringify(ret_temp, 1))
+            self._cfw("sitz", originline, address_linearr, ret_temp)
             i -= 1
             ret["Sitz"] = ret_temp
             self._check_info("Sitz", originline, i, lines)
@@ -488,18 +532,17 @@ class ProfileParser:
         i += 1
         activity = ""
         while True:
-            end1 = not re.search("<br><center>", lines[i])
-            end2 = not re.search("<b>Gr", lines[i])
+            end1 = "<br><center>" not in lines[i]
+            end2 = "<b>Gr" not in lines[i]
             if end1 and end2:
                 activity += lines[i]
                 i += 1
             if not (end1 and end2):
                 break
-        if re.search("<b>Gr", activity.replace("<br>", "\n")):
+        if "<b>Gr" in activity.replace("<br>", "\n"):
             return i - 2
         ret["activity_description"] = activity.replace("<br>", "\n")
-        self._cfw("taetigkeitsgebiet", originline, js_stringify(activity, 1),
-                  js_stringify(ret["activity_description"], 1))
+        self._cfw("taetigkeitsgebiet", originline, activity, ret["activity_description"])
         i -= 1
         self._check_info("Tätigkeitsgebiet/Gründung", originline, i, lines)
         return i
@@ -511,17 +554,17 @@ class ProfileParser:
         m = _DIGITS_RE.search(lines[i])
         if m:
             ret["established_year"] = int(m.group(0))
-        reduced = re.sub(r"<b>Gründung:\s*</b>", "", lines[i], count=1)
+        reduced = _GRUENDUNG_RE.sub("", lines[i], count=1)
         rest_final = []
         for part in reduced.split("<br>"):
             cur = tu.html_text_to_text(part).strip()
             if cur:
                 rest_final.append(cur)
         ret["established_year_bemerkungen"] = rest_final
-        self._cfw("gruendung", originline, js_stringify(lines[i], 1),
-                  js_stringify(ret.get("established_year", JS_UNDEF), 1))
-        self._cfw("gruendung", originline, "Additional entry for bemerkungen:",
-                  js_stringify(rest_final, 1))
+        self._cfw("gruendung", originline, lines[i], ret.get("established_year", JS_UNDEF))
+        if self.audit is not None:
+            self.audit.write("gruendung", originline, "Additional entry for bemerkungen:",
+                             js_stringify(rest_final, 1))
         i += 1
         self._check_info("Gründung", originline, i, lines)
         return i
@@ -530,11 +573,10 @@ class ProfileParser:
         """ref parser.js:462-475"""
         self._count("status")
         originline = i
-        m = re.search(r"[^>]+$", lines[i])
+        m = _TAIL_RE.search(lines[i])
         if m:
             ret["status"] = m.group(0)
-        self._cfw("status", originline, js_stringify(lines[i], 1),
-                  js_stringify(ret.get("status", JS_UNDEF), 1))
+        self._cfw("status", originline, lines[i], ret.get("status", JS_UNDEF))
         self._check_info("Status", originline, i, lines)
         return i
 
@@ -545,16 +587,15 @@ class ProfileParser:
         origintext = ""
         i += 1
         angaben = []
-        while not re.search("</body>|</html>", lines[i]):
+        while "</body>" not in lines[i] and "</html>" not in lines[i]:
             origintext += lines[i]
-            if re.search("<b>", lines[i]):
-                strip = re.sub(r"(<([^>]+)>)", "", lines[i], flags=re.IGNORECASE)
+            if "<b>" in lines[i]:
+                strip = _TAG_GROUP_RE.sub("", lines[i])
                 angaben.append(strip.split(":"))
             i += 1
             if i >= len(lines):
                 break
-        self._cfw("angaben", originline, js_stringify(origintext, 1),
-                  js_stringify(angaben, 1))
+        self._cfw("angaben", originline, origintext, angaben)
         self._check_info("Sonstige Angaben", originline, i, lines)
         ret["sonstigeAngaben"] = angaben
         return i
@@ -566,18 +607,18 @@ class ProfileParser:
         originline = i
         commonfunct_is_there = False
         commonfunct = ""
-        aufsichtsrat = re.sub(r"b>Aufsichtsrat: </b><br>", "", lines[i], flags=re.IGNORECASE)
-        aufsichtsrat = re.sub(r"b>Aufsichtsrat:</b><br>", "", aufsichtsrat, flags=re.IGNORECASE)
-        aufsichtsrat = re.sub(r"<br>|<|>", "", aufsichtsrat, flags=re.IGNORECASE)
+        aufsichtsrat = lines[i]
+        for head_re in _AR_HEAD_RES:
+            aufsichtsrat = head_re.sub("", aufsichtsrat)
         self._cfw_header("akf_learndata", aufsichtsrat)  # ref :598
         i += 1
         n = len(lines)
         while True:
-            if re.match(r"\*\)", lines[i]):
+            if lines[i].startswith("*)"):
                 commonfunct = lines[i].replace("*)", "", 1).replace("<br>", "", 1).strip()
                 commonfunct_is_there = True
-            elif re.search(r"\*\) Arbeitnehmervertreter", lines[i]):
-                lines[i] = re.sub(r"\*\) Arbeitnehmervertreter", "", lines[i], count=1)
+            elif "*) Arbeitnehmervertreter" in lines[i]:
+                lines[i] = lines[i].replace("*) Arbeitnehmervertreter", "", 1)
                 lines[i] = lines[i].replace("<br>", "", 1).strip()
                 lines[i] = rl.remove_last_character(lines[i], ";")
                 commonfunct = "Arbeitnehmervertreter"
@@ -586,13 +627,13 @@ class ProfileParser:
             i += 1
             if i >= n:
                 break
-            if lines[i] and re.search("<b>", lines[i]):
+            if lines[i] and "<b>" in lines[i]:
                 break
         ret["aufsichtsrat"] = []
         for part in tu.trim_all(_SEMI_SPLIT_RE.split(aufsichtsrat)):
             self._cfw_header("akf_learndata", part)  # ref :633
             manager = pp.check_person_line(part, self.dicts, commonfunct_is_there, commonfunct)
-            self._cfw("aufsichtsrat", originline, part, js_stringify(manager))  # ref :637
+            self._cfw_item("aufsichtsrat", originline, part, manager)  # ref :637
             ret["aufsichtsrat"].append(manager)
         self._cfw_header("akf_learndata", "Gründung: 9999")  # ref :643
         i -= 1
@@ -608,7 +649,7 @@ class ProfileParser:
         while True:
             vorstand += lines[i].replace("<br>", "", 1)
             i += 1
-            if i >= len(lines) or re.search("<b>", lines[i]):
+            if i >= len(lines) or "<b>" in lines[i]:
                 break
         ret.setdefault("vorstand", [])
         vorstand = rl.replace_semicolon_and_comma_in_brackets(vorstand)
@@ -648,8 +689,7 @@ class ProfileParser:
             if "<br><center>" in currentline or i >= len(lines):
                 break
         result = pp.parse_leiter(lines_leitung, self.dicts)
-        self._cfw("leitung_kommunikation", originline, js_stringify(lines_leitung, 1),
-                  js_stringify(result, 1))
+        self._cfw("leitung_kommunikation", originline, lines_leitung, result)
         ret["leitung_kommunikation"] = result
         return i - 1
 
@@ -667,7 +707,7 @@ class ProfileParser:
         geschleitung = rl.replace_semicolon_and_comma_in_brackets(geschleitung)
         for part in tu.trim_all(_SEMI_SPLIT_RE.split(geschleitung)):
             manager = pp.check_person_line(part, self.dicts, False, "")
-            self._cfw("geschleitung", originline, part, js_stringify(manager))  # ref :767
+            self._cfw_item("geschleitung", originline, part, manager)  # ref :767
             ret["geschleitung"].append(manager)
         i -= 1
         self._check_info("Geschäftsleitung", originline, i, lines)
@@ -812,8 +852,7 @@ class ProfileParser:
         )
         self._check_info("Gesellschafter", originline, i, lines)
         ret["gesellschafter"] = result
-        self._cfw("gesellschafter", originline, js_stringify(items, 1),
-                  js_stringify(result, 1))  # ref :1035 (file disabled in config)
+        self._cfw("gesellschafter", originline, items, result)  # ref :1035 (file disabled in config)
         return i - 1
 
     def _fn_anteilseigner(self, lines, i, ret):
@@ -865,8 +904,7 @@ class ProfileParser:
         if final is None:
             return originline + 1
         returnbet = pa.parse_beteiligungen2(final)
-        self._cfw("beteiligungen", originline, js_stringify(lines_bet, 1),
-                  js_stringify(returnbet, 1))  # ref :1129
+        self._cfw("beteiligungen", originline, lines_bet, returnbet)  # ref :1129
         ret["beteiligungen"] = returnbet
         self._check_info("Ausgewählte Beteiligungen", originline, i, lines)
         return originline + 1
@@ -875,21 +913,7 @@ class ProfileParser:
         """ref parser.js:1142-1189"""
         self._count("beteiligungenWesentliche")
         originline = i
-        i += 1
-        currentline = lines[i] if i < len(lines) else ""
-        lines_bet = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_bet.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if "b>Kapital" in currentline or "b>Börsen" in currentline:
-                break
+        lines_bet, i = _collect_block(lines, i + 1, _WESENTLICHE_END_RE)
         robj = pt.recognize_table_arrays(lines_bet)
         tables_parsed = pt.create_parsed_tables(robj["tablesArr"])
         self._check_info("Wesentliche Beteiligungen", originline, i, lines)
@@ -898,9 +922,10 @@ class ProfileParser:
         returnbet = pa.parse_beteiligungen(
             robj["tablesArr"], tables_parsed, robj["rest"], robj["infos"]
         )
-        self._cfw("beteiligungen", originline,
-                  js_stringify(robj["tablesArr"], 1) + js_stringify(robj["rest"]),
-                  js_stringify(returnbet, 1))  # ref :1184
+        if self.audit is not None:  # ref :1184
+            self.audit.write("beteiligungen", originline,
+                             _tables_json(robj["tablesArr"], robj["rest"]),
+                             js_stringify(returnbet, 1))
         ret["beteiligungen"] = returnbet
         return i - 2
 
@@ -957,9 +982,10 @@ class ProfileParser:
                         substituted.append(prev_keys[0])
                 # the write fires for EVERY unassociated table, with the
                 # substitution list accumulated so far (ref :1276-1295)
-                self._cfw("sanitation_kapitalentwicklung", originline,
-                          "Sanitation was triggered for table:" + str(x)
-                          + " " + js_stringify(substituted, 1), "")  # ref :1292
+                if self.audit is not None:  # ref :1292
+                    self.audit.write("sanitation_kapitalentwicklung", originline,
+                                     f"Sanitation was triggered for table:{x} "
+                                     + js_stringify(substituted, 1), "")
 
         def nxt(idx):
             return pt.get_next_index(rec, idx)
@@ -1035,9 +1061,9 @@ class ProfileParser:
                 nxt(rec["ermaechtigungAktienErwerbIndex"]),
             )
             ret_erm = r
-            self._cfw("ermAktienerwerb", originline,
-                      js_stringify(tables_arr, 1) + js_stringify(rest),
-                      js_stringify(r, 1))  # ref :1368 (inside the if)
+            if self.audit is not None:  # ref :1368 (inside the if)
+                self.audit.write("ermAktienerwerb", originline, _tables_json(tables_arr, rest),
+                                 js_stringify(r, 1))
             ret["ermächtigungAktienerwerb"] = r  # JS: object truthy
         if "ausgegebenesKapitalIndex" in rec:
             r = pt.parse_ausgegebenes_kapital(
@@ -1048,15 +1074,12 @@ class ProfileParser:
         # ref parser.js:1371-1378 — unconditional write block (undefined results
         # render "parsed undefined", faithfully)
         if self.audit is not None:
-            ta1 = js_stringify(tables_arr, 1)
-            tar = ta1 + js_stringify(rest)
-            self._cfw("kapitalentwicklung", originline, ta1, js_stringify(ret_kapital, 1))
-            self._cfw("grundkapital", originline, tar, js_stringify(ret_grundkapital, 1))
-            self._cfw("genehmkapital", originline, tar, js_stringify(ret_genehm, 1))
-            self._cfw("bedingkapital", originline, tar, js_stringify(ret_beding, 1))
-            self._cfw("besbezugsrechte", originline, tar, js_stringify(ret_besbez, 1))
-            self._cfw("ausgegebenesKapital", originline, tar, js_stringify(ret_ausgegeben, 1))
-            self._cfw("bedingkapital", originline, tar, js_stringify(ret_beding2, 1))
+            self._cfw("kapitalentwicklung", originline, tables_arr, ret_kapital)
+            tar = _tables_json(tables_arr, rest)
+            for key, r in (("grundkapital", ret_grundkapital), ("genehmkapital", ret_genehm),
+                           ("bedingkapital", ret_beding), ("besbezugsrechte", ret_besbez),
+                           ("ausgegebenesKapital", ret_ausgegeben), ("bedingkapital", ret_beding2)):
+                self.audit.write(key, originline, tar, js_stringify(r, 1))
         self._check_info("Kapitalentwicklung", originline, i, lines)
         return i
 
@@ -1065,35 +1088,13 @@ class ProfileParser:
         """ref parser.js:1430-1499"""
         count = self._count("boersenbewertung")
         originline = i
-        currentline = lines[i]
-        lines_bb = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_bb.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            end = currentline.find("b>Bereinigte Kurse")
-            if end != -1:
-                for piece in currentline.split("<br>"):
-                    text = tu.html_text_to_text(piece)
-                    lines_bb.append(text.replace("Bereinigte Kurse", "", 1))
-            if (
-                end != -1
-                or "b>Kurse" in currentline
-                or "b>Dividenden" in currentline
-                or "</body>" in currentline
-                or "b>Kennzahlen" in currentline
-            ):
-                break
+        lines_bb, i = _collect_block(lines, i, _BOERSEN_END_RE)
+        if i < len(lines) and "b>Bereinigte Kurse" in lines[i]:
+            for piece in lines[i].split("<br>"):
+                lines_bb.append(tu.html_text_to_text(piece).replace("Bereinigte Kurse", "", 1))
         i -= 1
         result = pb.parse_boersenbewertung(lines_bb, count)
-        self._cfw("boersenbewertung", originline, js_stringify(lines_bb, 1),
-                  js_stringify(result, 1))  # ref :1478
+        self._cfw("boersenbewertung", originline, lines_bb, result)  # ref :1478
         if result:
             ret.setdefault("boersenbewertung", {})
             for key, val in result.items():
@@ -1108,27 +1109,7 @@ class ProfileParser:
         """ref parser.js:1505-1576"""
         self._count("bereinigtekurse")
         originline = i
-        currentline = lines[i]
-        lines_kurse = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_kurse.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if any(
-                marker in currentline
-                for marker in (
-                    "<center><img", "b>Dividenden", "b>Halbjahresdividenden",
-                    "b>Quartalsdividenden", "</body>", "br><center><h5><table>",
-                    "<center><b>Kennzahlen", "<br><img", "Wertpapier-Kenn-Nr.:",
-                )
-            ):
-                break
+        lines_kurse, i = _collect_block(lines, i, _KURSE_END_RE)
         robj = pt.recognize_table_arrays(lines_kurse)
         tables_parsed = pt.create_parsed_tables(robj["tablesArr"])
         # JS getCurrentCount yields undefined before any Börsenbewertung ran:
@@ -1138,8 +1119,7 @@ class ProfileParser:
         result = pt.parse_bereinigtekurse(
             tables_parsed, robj["tablesArr"], robj["rest"], robj["infos"], count
         )
-        self._cfw("bereinigtekurse", originline, js_stringify(robj["tablesArr"], 1),
-                  js_stringify(result, 1))  # ref :1556
+        self._cfw("bereinigtekurse", originline, robj["tablesArr"], result)  # ref :1556
         if result:
             ret.setdefault("boersenbewertung", _JsArrayDict())  # ref :1563
             for k, val in result.items():
@@ -1153,34 +1133,14 @@ class ProfileParser:
         """ref parser.js:1582-1643"""
         self._count("dividenden")
         originline = i
-        currentline = lines[i]
-        lines_div = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_div.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if any(
-                marker in currentline
-                for marker in (
-                    "<center><b>", "<br><img", "<center><img", "<br><center>",
-                    "</body>", "<br><br>", "Ergebnisabführung",
-                )
-            ):
-                break
+        lines_div, i = _collect_block(lines, i, _DIVIDENDEN_END_RE)
         robj = pt.recognize_table_arrays(lines_div)
         tables_parsed = pt.create_parsed_tables(robj["tablesArr"])
         count = self._current_count("boersenbewertung") or "undefined"  # JS undefined key
         result = pt.parse_dividenden(
             tables_parsed, robj["tablesArr"], robj["rest"], robj["infos"], count
         )
-        self._cfw("dividenden", originline, js_stringify(robj["tablesArr"], 1),
-                  js_stringify(result, 1))  # ref :1630
+        self._cfw("dividenden", originline, robj["tablesArr"], result)  # ref :1630
         ret.setdefault("boersenbewertung", _JsArrayDict())  # ref :1631
         for k, val in result.items():
             if ret["boersenbewertung"].get(k) and val:
@@ -1194,24 +1154,7 @@ class ProfileParser:
             "ergebnisabfuehrung"
         )
         originline = i
-        i += 1
-        currentline = lines[i] if i < len(lines) else ""
-        lines_eaf = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_eaf.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if any(
-                marker in currentline
-                for marker in ("<center><b>", "<br><img", "<center><img", "<br><center>", "</body>")
-            ):
-                break
+        lines_eaf, i = _collect_block(lines, i + 1, _TABLE_END_RE)
         table_start = any(cur and "<table" in cur for cur in lines_eaf)
         if not table_start:
             isearch = originline
@@ -1228,8 +1171,7 @@ class ProfileParser:
         result = pt.parse_ergebnisabfuehrung(
             tables_parsed, robj["tablesArr"], robj["rest"], robj["infos"], count, recursively
         )
-        self._cfw("ergebnisabfuehrung", originline, js_stringify(robj["tablesArr"], 1),
-                  js_stringify(result, 1))  # ref parser_additions.js:102
+        self._cfw("ergebnisabfuehrung", originline, robj["tablesArr"], result)  # ref parser_additions.js:102
         ret.setdefault("boersenbewertung", {})
         ret["boersenbewertung"].setdefault(f"boersenbewertung{count}", {}).update(result)
         self._check_info("Ergebnisabführung", originline, i, lines)  # ref additions:108
@@ -1239,24 +1181,7 @@ class ProfileParser:
         """ref parser.js:1662-1727"""
         self._count("kennzahlen")
         originline = i
-        i += 1
-        currentline = lines[i] if i < len(lines) else ""
-        lines_kz = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_kz.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if any(
-                marker in currentline
-                for marker in ("<center><b>", "<br><img", "<center><img", "<br><center>", "</body>")
-            ):
-                break
+        lines_kz, i = _collect_block(lines, i + 1, _TABLE_END_RE)
         robj = pt.recognize_table_arrays(lines_kz)
         tables_parsed = pt.create_parsed_tables(robj["tablesArr"])
         count = self._current_count("boersenbewertung")
@@ -1265,8 +1190,7 @@ class ProfileParser:
         result = pt.parse_kennzahlen(
             tables_parsed, robj["tablesArr"], robj["rest"], robj["infos"], count
         )
-        self._cfw("kennzahlen", originline, js_stringify(robj["tablesArr"], 1),
-                  js_stringify(result, 1))  # ref :1708 (before the merge)
+        self._cfw("kennzahlen", originline, robj["tablesArr"], result)  # ref :1708 (before the merge)
         # reference realReturnObject carries a stray 'refactored' key which the
         # merge loop materializes as an empty object (parser.js:1707-1722)
         result["refactored"] = None
@@ -1284,31 +1208,13 @@ class ProfileParser:
         self._count("aus_bilanzen")
         originline = i
         headline = lines[i]
-        i += 1
-        currentline = lines[i] if i < len(lines) else ""
-        lines_bil = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_bil.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if any(
-                marker in currentline
-                for marker in ("<center><b>", "<br><img", "<center><img", "<br><center>", "</body>")
-            ):
-                break
+        lines_bil, i = _collect_block(lines, i + 1, _TABLE_END_RE)
         robj = pt.recognize_table_arrays(lines_bil)
         tables_parsed = pt.create_parsed_tables(robj["tablesArr"])
         result = pt.parse_aus_bilanzen(
             tables_parsed, robj["tablesArr"], robj["rest"], robj["infos"], headline
         )
-        self._cfw("aus_bilanzen", originline, js_stringify(robj["tablesArr"], 1),
-                  js_stringify(result, 1))  # ref :1778
+        self._cfw("aus_bilanzen", originline, robj["tablesArr"], result)  # ref :1778
         ret.setdefault("ausBilanzen", []).append(result)
         self._check_info("Aus den Bilanzen", originline, i, lines)
         return i - 1
@@ -1318,24 +1224,7 @@ class ProfileParser:
         self._count("guv")
         originline = i
         headline = lines[i]
-        i += 1
-        currentline = lines[i] if i < len(lines) else ""
-        lines_guv = []
-        n = len(lines)
-        while True:
-            if currentline and currentline.strip() != "":
-                lines_guv.append(currentline)
-            i += 1
-            currentline = lines[i] if i < n else ""
-            if i >= n:
-                break
-            if not currentline:
-                continue
-            if any(
-                marker in currentline
-                for marker in ("<center><b>", "<br><img", "<center><img", "<br><center>", "</body>")
-            ):
-                break
+        lines_guv, i = _collect_block(lines, i + 1, _TABLE_END_RE)
         robj = pt.recognize_table_arrays(lines_guv)
         if self.lse_lines is not None:
             # same capture point as ref parser.js:1833 (post-recognize, the
@@ -1345,8 +1234,7 @@ class ProfileParser:
         result = pt.parse_aus_gewinn_und_verlustrechnungen(
             tables_parsed, robj["tablesArr"], robj["rest"], robj["infos"], headline
         )
-        self._cfw("aus_den_gewinn_und_verlustrechnungen", originline,
-                  js_stringify(robj["tablesArr"], 1), js_stringify(result, 1))  # ref :1840
+        self._cfw("aus_den_gewinn_und_verlustrechnungen", originline, robj["tablesArr"], result)  # ref :1840
         ret.setdefault("ausGewinnUndVerlust", []).append(result)
         self._check_info("Aus Gewinn und Verlust", originline, i, lines)
         return i - 1

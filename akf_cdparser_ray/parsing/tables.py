@@ -62,6 +62,8 @@ _TR_RE = re.compile(r"<tr[^>]*>(.*?)(?:</tr>|$)", re.IGNORECASE | re.DOTALL)
 _TD_RE = re.compile(r"<t[dh]([^>]*)>(.*?)</t[dh]>", re.IGNORECASE | re.DOTALL)
 _COLSPAN_RE = re.compile(r"colspan\s*=\s*\"?(\d+)", re.IGNORECASE)
 _ROWSPAN_RE = re.compile(r"rowspan\s*=\s*\"?(\d+)", re.IGNORECASE)
+_STUECKELUNG_RE = re.compile("Stückelung", re.IGNORECASE)
+_STIMMRECHT_RE = re.compile("Stimmrecht", re.IGNORECASE)
 
 
 def parse_html_table(html: str) -> list[list[str]]:
@@ -88,8 +90,10 @@ def parse_html_table(html: str) -> list[list[str]]:
                 col < len(columns) and row_idx in columns[col]
             ):
                 col += 1
-            colspan = int(_COLSPAN_RE.search(attrs).group(1)) if _COLSPAN_RE.search(attrs) else 1
-            rowspan = int(_ROWSPAN_RE.search(attrs).group(1)) if _ROWSPAN_RE.search(attrs) else 1
+            m = _COLSPAN_RE.search(attrs)
+            colspan = int(m.group(1)) if m else 1
+            m = _ROWSPAN_RE.search(attrs)
+            rowspan = int(m.group(1)) if m else 1
             for k in range(colspan):
                 while len(columns) <= col:
                     columns.append({})
@@ -450,7 +454,7 @@ def parse_erm_aktienerwerb(tables_parsed, tables_arr, rest, infos, index, next_i
 def get_stueckelung(line: str, specialmode: bool = False):
     """ref parser_tables.js:2810-2842"""
     stueckelung = None
-    if re.search(r"Stückelung", line, re.IGNORECASE):
+    if _STUECKELUNG_RE.search(line):
         splitter = "elung:" if specialmode else ":"
         clsplit = line.split(splitter)
         if len(clsplit) > 1 and clsplit[1]:
@@ -459,7 +463,7 @@ def get_stueckelung(line: str, specialmode: bool = False):
     if specialmode and stueckelung:
         stueckelung = stueckelung.split("Stimmrecht:")[0].strip()
     if stueckelung:
-        end_split = re.split(r"Stückelung", stueckelung, flags=re.IGNORECASE)
+        end_split = _STUECKELUNG_RE.split(stueckelung)
         if len(end_split) >= 2:
             stueckelung = end_split[1]
         stueckelung = stueckelung.strip()
@@ -469,7 +473,7 @@ def get_stueckelung(line: str, specialmode: bool = False):
 def get_stimmrecht(line: str, specialmode: bool = False):
     """ref parser_tables.js:2849-2881"""
     stimmrecht = None
-    if re.search(r"Stimmrecht", line, re.IGNORECASE):
+    if _STIMMRECHT_RE.search(line):
         splitter = "immrecht:" if specialmode else ":"
         clsplit = line.split(splitter)
         if len(clsplit) >= 2:
@@ -652,14 +656,20 @@ def _index_map(group: dict) -> dict[int, list[str]] | None:
     return out
 
 
-def parse_column_content_to_item(current_column, item_indices_groups):
+def _index_groups(item_indices_groups: list[dict]) -> list[tuple]:
+    """(row-index map, group) pairs, built once per table after its header
+    column: the groups do not change while the data columns are read."""
+    return [(_index_map(g), g) for g in item_indices_groups]
+
+
+def parse_column_content_to_item(current_column, indexed_groups):
+    """``indexed_groups``: :func:`_index_groups` of the table's groups."""
     item_to_fill: dict = {}
-    maps = [(_index_map(g), g) for g in item_indices_groups]
     for x, current_item in enumerate(current_column):
         text_lc = tu.html_text_to_text(current_item).strip().lower()
         if not text_lc:
             continue
-        for m, group in maps:
+        for m, group in indexed_groups:
             if m is None:
                 item_to_fill = assign_indices_to_object(item_to_fill, x, group, text_lc)
             else:
@@ -668,12 +678,11 @@ def parse_column_content_to_item(current_column, item_indices_groups):
     return item_to_fill
 
 
-def parse_column_content_to_item_kennzahlen(current_column, item_indices_groups):
+def parse_column_content_to_item_kennzahlen(current_column, indexed_groups):
     ret: dict = {}
     texts = [tu.html_text_to_text(c).strip().lower() for c in current_column]
-    for group in item_indices_groups:
+    for m, group in indexed_groups:
         colitem: dict = {}
-        m = _index_map(group)
         for x, text_lc in enumerate(texts):
             if not text_lc:
                 continue
@@ -849,6 +858,7 @@ def parse_bereinigtekurse(tables_parsed, tables_arr, rest, infos, callnumber) ->
                         cur["ultimo"] = x
                 _assign_possible_kommentar(cur)
                 item_indices_groups.append(cur)
+                indexed = _index_groups(item_indices_groups)
             else:
                 if (
                     len(item_indices_groups) >= 2
@@ -856,11 +866,11 @@ def parse_bereinigtekurse(tables_parsed, tables_arr, rest, infos, callnumber) ->
                     and item_indices_groups[1]["jahr"] != -1
                     and item_indices_groups[0]["jahr"] != item_indices_groups[1]["jahr"]
                 ):
-                    for group in item_indices_groups:
+                    for group in indexed:
                         filled = parse_column_content_to_item(current_column, [group])
                         ret = push_item_to_return_object("kurse", filled, ret, i)
                 else:
-                    filled = parse_column_content_to_item(current_column, item_indices_groups)
+                    filled = parse_column_content_to_item(current_column, indexed)
                     ret = push_item_to_return_object("kurse", filled, ret, i)
 
     ret["kurse"] = tu.remove_empty_entries_from_array(ret["kurse"])
@@ -951,8 +961,9 @@ def parse_dividenden(tables_parsed, tables_arr, rest, infos, callnumber) -> dict
                         for piece in current_item.split("<br>"):
                             ret["dividenden_bemerkungen"].append(tu.html_text_to_text(piece))
                 item_indices_groups.append(cur)
+                indexed = _index_groups(item_indices_groups)
             else:
-                filled = parse_column_content_to_item(current_column, item_indices_groups)
+                filled = parse_column_content_to_item(current_column, indexed)
                 ret = push_item_to_return_object("dividenden", filled, ret, i)
 
     ret["dividenden"] = tu.remove_empty_entries_from_array(ret["dividenden"])
@@ -1100,10 +1111,9 @@ def parse_kennzahlen(tables_parsed, tables_arr, rest, infos, callnumber) -> dict
                     cur = assign_index(cur, text, occurrences, x)
                     x += 1
                 item_indices_groups.append(cur)
+                indexed = _index_groups(item_indices_groups)
             else:
-                filled = parse_column_content_to_item_kennzahlen(
-                    current_column, item_indices_groups
-                )
+                filled = parse_column_content_to_item_kennzahlen(current_column, indexed)
                 filled = adapt_year_in_filled_item(filled, ret["kennzahlen"], push_ctr)
                 if not tu.is_object_empty(filled):
                     for key, items in filled.items():
@@ -1198,10 +1208,9 @@ def parse_aus_bilanzen(tables_parsed, tables_arr, rest, infos, headline) -> dict
                     occurrences[text_lc] = increment_occurrence_count(occurrences.get(text_lc))
                     cur = assign_index(cur, text_lc, occurrences, x)
                 item_indices_groups.append(cur)
+                indexed = _index_groups(item_indices_groups)
             else:
-                filled = parse_column_content_to_item_kennzahlen(
-                    current_column, item_indices_groups
-                )
+                filled = parse_column_content_to_item_kennzahlen(current_column, indexed)
                 filled = adapt_year_in_filled_item(filled, ret["ausBilanzen"], push_ctr)
                 if not tu.is_object_empty(filled):
                     for key, items in filled.items():
@@ -1347,8 +1356,9 @@ def parse_aus_gewinn_und_verlustrechnungen(
                     else:
                         cur[text_lc] = x
                 item_indices_groups.append(cur)
+                indexed = _index_groups(item_indices_groups)
             else:
-                filled = parse_column_content_to_item(current_column, item_indices_groups)
+                filled = parse_column_content_to_item(current_column, indexed)
                 if (
                     column_identifiers
                     and 0 <= i - 1 < len(column_identifiers)

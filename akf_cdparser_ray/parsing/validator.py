@@ -206,14 +206,15 @@ PREDEFINED = [
     "Wertpapier-Kenn.Nr",
 ]
 
-_PREDEFINED_CLEAN = [tu.clean_text(s) for s in PREDEFINED]
+_PREDEFINED_RES = [(re.compile(r"\s*\b" + re.escape(s) + r"\b\s*"), len(s))
+                   for s in map(tu.clean_text, PREDEFINED)]
 
 
 def unparsed_text(data: dict, replace_values: str = " ", replace_predefined: str = "*") -> str:
     """Subtraction residue (ref validator.js:46-58)."""
     remaining = tu.clean_text(data.get("_fulltext", ""))
     for k, v in data.items():
-        if re.match(r"^_fulltext", k):
+        if k.startswith("_fulltext"):
             continue
         for leaf in tu.leaf_nodes(v):
             s = tu.clean_text(leaf)
@@ -225,10 +226,8 @@ def unparsed_text(data: dict, replace_values: str = " ", replace_predefined: str
                 remaining,
                 count=1,
             )
-    for s in _PREDEFINED_CLEAN:
-        remaining = re.sub(
-            r"\s*\b" + re.escape(s) + r"\b\s*", replace_predefined * len(s), remaining
-        )
+    for pattern, n in _PREDEFINED_RES:
+        remaining = pattern.sub(replace_predefined * n, remaining)
     return remaining
 
 

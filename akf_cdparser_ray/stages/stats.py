@@ -14,6 +14,7 @@ tolerance-based.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pandas as pd
@@ -36,6 +37,12 @@ def _exact_int_sum(a: np.ndarray) -> int:
     if step >= len(a):
         return int(a.sum())
     return sum(int(a[i:i + step].sum()) for i in range(0, len(a), step))
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact Σ x·y of two int64 arrays. Products multiply as Python ints:
+    int64 products wrap once |x|·|y| reaches 2^63 (|x| ≈ 3.04e9 for x·x)."""
+    return sum(map(operator.mul, x.tolist(), y.tolist()))
 
 
 def grouped_corr(ds, key: str, xcol: str, ycol: str,
@@ -68,9 +75,9 @@ def grouped_corr(ds, key: str, xcol: str, ycol: str,
                 cols["n"].append(len(g))
                 cols["sx"].append(_exact_int_sum(x))
                 cols["sy"].append(_exact_int_sum(y))
-                cols["sxy"].append(_exact_int_sum(x * y))
-                cols["sxx"].append(_exact_int_sum(x * x))
-                cols["syy"].append(_exact_int_sum(y * y))
+                cols["sxy"].append(_exact_dot(x, y))
+                cols["sxx"].append(_exact_dot(x, x))
+                cols["syy"].append(_exact_dot(y, y))
         out = pd.DataFrame({key: pd.Series(cols[key], dtype="object"),
                             "n": pd.Series(cols["n"], dtype="int64")})
         for c in _MOMENTS:  # object dtype: Python ints, no silent overflow
@@ -179,7 +186,7 @@ def zscore_normalize(ds, key: str, col: str, alias: str = "z",
                 cols[key].append(kval)
                 cols["n"].append(len(g))
                 cols["sx"].append(_exact_int_sum(x))
-                cols["sxx"].append(_exact_int_sum(x * x))
+                cols["sxx"].append(_exact_dot(x, x))
         out = pd.DataFrame({key: pd.Series(cols[key], dtype="object"),
                             "n": pd.Series(cols["n"], dtype="int64")})
         for c in ("sx", "sxx"):
@@ -235,7 +242,7 @@ def grouped_describe(ds, key: str, col: str) -> pd.DataFrame:
                 cols["mn"].append(int(x.min()))
                 cols["mx"].append(int(x.max()))
                 cols["sx"].append(_exact_int_sum(x))
-                cols["sxx"].append(_exact_int_sum(x * x))
+                cols["sxx"].append(_exact_dot(x, x))
         out = pd.DataFrame({key: pd.Series(cols[key], dtype="object"),
                             "n": pd.Series(cols["n"], dtype="int64"),
                             "mn": pd.Series(cols["mn"], dtype="int64"),

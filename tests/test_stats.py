@@ -9,7 +9,7 @@ import pandas as pd
 import pytest
 
 from akf_cdparser_ray.stages.stats import (
-    _exact_int_sum, grouped_corr, mode_per_group, string_agg_sorted)
+    _exact_dot, _exact_int_sum, grouped_corr, mode_per_group, string_agg_sorted)
 
 
 def _chunks(df: pd.DataFrame, n: int) -> list[pd.DataFrame]:
@@ -44,6 +44,37 @@ def test_grouped_corr_matches_numpy_and_layout():
         g = df[df["k"] == row["k"]]
         expect = np.corrcoef(g["x"], g["y"])[0, 1]
         assert math.isclose(row["corr"], expect, rel_tol=1e-9)
+
+
+def test_exact_dot_beyond_int64_products():
+    # |x| >= ~3.04e9 makes x*x wrap in int64
+    x = np.array([4_000_000_000, -4_000_000_007, 3_037_000_500], dtype=np.int64)
+    y = np.array([5_000_000_000, 2, -(1 << 62)], dtype=np.int64)
+    for a, b in ((x, x), (x, y), (y, y)):
+        assert _exact_dot(a, b) == sum(int(u) * int(v) for u, v in zip(a, b))
+    assert _exact_dot(x[:0], y[:0]) == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_grouped_corr_large_values_exact():
+    """Planted: values past 3.04e9 whose squares wrap int64. A constant
+    4e9 column has zero variance (NaN), and a varying one must match the
+    exact-integer formula bit for bit."""
+    import ray.data as rd
+
+    xs = [4_000_000_000, 4_000_000_001, 4_000_000_003, 5_000_000_000]
+    ys = [7, 3_500_000_000, 8, 4_000_000_000]
+    df = pd.DataFrame({"k": ["a", "a", "b", "b", "b", "b"],
+                       "x": [4_000_000_000, 4_000_000_000] + xs,
+                       "y": [1, 2] + ys})
+    out = grouped_corr(rd.from_pandas([df]), "k", "x", "y").set_index("k")
+    assert math.isnan(out.loc["a", "corr"])
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    sxy = sum(u * v for u, v in zip(xs, ys))
+    sxx, syy = sum(u * u for u in xs), sum(v * v for v in ys)
+    expect = float(n * sxy - sx * sy) / (
+        math.sqrt(float(n * sxx - sx * sx)) * math.sqrt(float(n * syy - sy * sy)))
+    assert out.loc["b", "corr"] == expect
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -179,6 +210,21 @@ def test_grouped_describe_matches_local_and_layout():
         assert row["max_c"] == g["x"].max()
         assert row["mean"] == pytest.approx(g["x"].mean(), rel=1e-12)
         assert row["std"] == pytest.approx(g["x"].std(ddof=0), rel=1e-12)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_describe_and_zscore_large_values_exact():
+    """Planted: 4e9-scale values, whose squares wrap int64. Mean 4e9+1 and
+    population std 1 are exact, so z is exactly -1 and +1."""
+    import ray.data as rd
+
+    from akf_cdparser_ray.stages.stats import grouped_describe, zscore_normalize
+
+    df = pd.DataFrame({"k": ["a", "a"], "x": [4_000_000_000, 4_000_000_002]})
+    row = grouped_describe(rd.from_pandas([df]), "k", "x").iloc[0]
+    assert (row["mean"], row["std"]) == (4_000_000_001.0, 1.0)
+    z = zscore_normalize(rd.from_pandas([df]), "k", "x").to_pandas()
+    assert sorted(z["z"].tolist()) == [-1.0, 1.0]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -2,7 +2,8 @@
 blanked/duplicated lines, NBSP swaps, unclosed tables, blanked cells,
 number-format corruption, stripped bold tags, stray parens, truncation)
 and assert byte-identical parse output vs the REAL reference parser
-(tools/refrun). Usage: python tools/fuzz_parity.py [seed] [n]."""
+(tools/refrun). Usage: python tools/fuzz_parity.py [seed] [n]. ``mutate`` is
+also the mutation source of the frozen parse corpus (tools/parse_corpus.py)."""
 import json, subprocess, os, tempfile, random, re, sys
 sys.path.insert(0, __import__('os').path.dirname(__import__('os').path.dirname(__import__('os').path.abspath(__file__))))
 from akf_cdparser_ray.sources import synth
@@ -131,33 +132,38 @@ def mutate(html, rng):
 def canon(x):
     return json.loads(json.dumps(x, ensure_ascii=False))
 
-seed = int(sys.argv[1]) if len(sys.argv) > 1 else 777
-n = int(sys.argv[2]) if len(sys.argv) > 2 else 100
-rng = random.Random(seed)
-match = hang = crash = cf_match = 0; mismatch = []; cf_mismatch = []; mine_crash = []
-for trial in range(n):
-    html = mutate(synth.render_page(synth.gen_profile(rng.randrange(120))), rng)
-    status, ref = run_ref(html)
-    sink = AuditSink()
-    try:
-        mine = canon(ProfileParser(audit=sink).parse(html)); ok = True
-    except Exception as e:
-        ok = False; mine_crash.append((trial, repr(e)[:110]))
-    if status != 'ok':
-        hang += status == 'hang'; crash += status == 'crash'; continue
-    if not ok: continue
-    ds = diff(ref, mine)
-    if ds: mismatch.append((trial, ds))
-    else: match += 1
-    # checkfile byte parity for the same page
-    ref_cf = read_ref_checkfiles()
-    my_cf = render_checkfiles(sink.rows)
-    bad = [f for f in sorted(set(ref_cf) | set(my_cf))
-           if ref_cf.get(f, b'') != my_cf.get(f, '').encode('utf-8')]
-    if bad: cf_mismatch.append((trial, bad[:3]))
-    else: cf_match += 1
-print(f"seed={seed} match={match} cf_match={cf_match} ref_hang={hang} ref_crash={crash} engine_crashes={len(mine_crash)}")
-for t, e in mine_crash[:4]: print("engine crash", t, e)
-for t, d in mismatch[:6]: print("mismatch", t, d)
-for t, d in cf_mismatch[:6]: print("cf_mismatch", t, d)
-print("mismatches:", len(mismatch), "cf_mismatches:", len(cf_mismatch))
+def main():
+    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 777
+    n = int(sys.argv[2]) if len(sys.argv) > 2 else 100
+    rng = random.Random(seed)
+    match = hang = crash = cf_match = 0; mismatch = []; cf_mismatch = []; mine_crash = []
+    for trial in range(n):
+        html = mutate(synth.render_page(synth.gen_profile(rng.randrange(120))), rng)
+        status, ref = run_ref(html)
+        sink = AuditSink()
+        try:
+            mine = canon(ProfileParser(audit=sink).parse(html)); ok = True
+        except Exception as e:
+            ok = False; mine_crash.append((trial, repr(e)[:110]))
+        if status != 'ok':
+            hang += status == 'hang'; crash += status == 'crash'; continue
+        if not ok: continue
+        ds = diff(ref, mine)
+        if ds: mismatch.append((trial, ds))
+        else: match += 1
+        # checkfile byte parity for the same page
+        ref_cf = read_ref_checkfiles()
+        my_cf = render_checkfiles(sink.rows)
+        bad = [f for f in sorted(set(ref_cf) | set(my_cf))
+               if ref_cf.get(f, b'') != my_cf.get(f, '').encode('utf-8')]
+        if bad: cf_mismatch.append((trial, bad[:3]))
+        else: cf_match += 1
+    print(f"seed={seed} match={match} cf_match={cf_match} ref_hang={hang} ref_crash={crash} engine_crashes={len(mine_crash)}")
+    for t, e in mine_crash[:4]: print("engine crash", t, e)
+    for t, d in mismatch[:6]: print("mismatch", t, d)
+    for t, d in cf_mismatch[:6]: print("cf_mismatch", t, d)
+    print("mismatches:", len(mismatch), "cf_mismatches:", len(cf_mismatch))
+
+
+if __name__ == "__main__":
+    main()

@@ -23,10 +23,7 @@ sys.path.insert(0, REPO)
 from akf_cdparser_ray.parsing.dictionaries import get_default  # noqa: E402
 from akf_cdparser_ray.parsing.profile_parser import parse_profile  # noqa: E402
 
-_ns: dict = {"__file__": os.path.join(REPO, "tools/fuzz_parity.py")}
-exec(open(os.path.join(REPO, "tools/fuzz_parity.py")).read().split("seed = int")[0], _ns)
-run_ref = _ns["run_ref"]
-diff_fn = _ns["diff"]
+from tools.fuzz_parity import diff as diff_fn, run_ref  # noqa: E402
 
 
 def canon(x):
