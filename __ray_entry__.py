@@ -620,7 +620,7 @@ def q_image_features(_sf_dir: str):
         batch_format="pyarrow", batch_size=16, concurrency=2,
     )
     df = feats.to_pandas().sort_values("image_id").reset_index(drop=True)
-    # 9-sig-digit stable rendering for the golden (float32 -> float64 list)
+    # fixed 6-decimal rendering for the golden (float32 -> float64 list)
     df["features"] = df["features"].map(
         lambda v: "|".join(f"{float(x):.6f}" for x in v))
     return df
@@ -1560,13 +1560,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "token_counts": q_token_counts,
         "quality_scores": q_quality_scores,
         "fingerprints": q_fingerprints,
-        "rolling_fps": q_rolling_fps,
-        "langid": q_langid,
-        "minhash_neardup": q_minhash_neardup,
-        "simhash": q_simhash,
-        "embedding_neardup": q_embedding_neardup,
         "ann_topk": q_ann_topk,
-        "ivf_topk": q_ivf_topk,
         "knn_join": q_knn_join,
         "window_hourly": q_window_hourly,
         "asof_join": q_asof_join,
@@ -1575,19 +1569,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "topk_per_shard": q_topk_per_shard,
         "anti_join": q_anti_join,
         "host_counts": q_host_counts,
-        "parse_profiles": q_parse_profiles,
-        "validate_profiles": q_validate_profiles,
-        "crawl_smoke": q_crawl_smoke,
-        "crawl_stream": q_crawl_stream,
-        "phash_neardup": q_phash_neardup,
-        "lse_report": q_lse_report,
         "revenue_by_status": q_revenue_by_status,
         "ngram_jaccard": q_ngram_jaccard,
         "join_mktsegment": q_join_mktsegment,
-        "audio_features": q_audio_features,
-        "frame_sample": q_frame_sample,
-        "approx_distinct": q_approx_distinct,
-        "approx_quantiles": q_approx_quantiles,
         "vocabulary": q_vocabulary,
         "contamination": q_contamination,
         "epoch_shuffle": q_epoch_shuffle,
@@ -1599,8 +1583,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "left_join": q_left_join,
         "outer_join": q_outer_join,
         "posting_lists": q_posting_lists,
-        "semdedup": q_semdedup,
-        "pagerank": q_pagerank,
         "latest_event": q_latest_event,
         "hash_split": q_hash_split,
         "bottomk_sample": q_bottomk_sample,
@@ -1608,21 +1590,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "temperature_sample": q_temperature_sample,
         "bm25": q_bm25,
         "interval_join": q_interval_join,
-        "chunk_dedup": q_chunk_dedup,
-        "dedup_clusters": q_dedup_clusters,
         "pii_scrub": q_pii_scrub,
-        "pack_sequences": q_pack_sequences,
-        "range_shards": q_range_shards,
         "stratified_sample": q_stratified_sample,
         "heavy_hitters": q_heavy_hitters,
-        "curate": q_curate,
         "hash_sample": q_hash_sample,
         "corr_qty_price": q_corr_qty_price,
         "mode_value": q_mode_value,
         "names_agg": q_names_agg,
         "global_ntile": q_global_ntile,
         "editdist_pairs": q_editdist_pairs,
-        "lm_perplexity": q_lm_perplexity,
         "hopping_window": q_hopping_window,
         "revenue_by_region": q_revenue_by_region,
         "exact_quantiles": q_exact_quantiles,
@@ -1630,13 +1606,39 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "salted_join": q_salted_join,
         "zscore": q_zscore,
         "triangles": q_triangles,
-        "image_features": q_image_features,
         "global_rank": q_global_rank,
         "grouped_p90": q_grouped_p90,
         "describe": q_describe,
         "debounce": q_debounce,
         "first_touch": q_first_touch,
         "pivot_hours": q_pivot_hours,
+        # rows-only entries (no DuckDB oracle) come after every oracled
+        # one: the correctness gate checks only the first 50 entries
+        "rolling_fps": q_rolling_fps,
+        "langid": q_langid,
+        "minhash_neardup": q_minhash_neardup,
+        "simhash": q_simhash,
+        "embedding_neardup": q_embedding_neardup,
+        "ivf_topk": q_ivf_topk,
+        "parse_profiles": q_parse_profiles,
+        "validate_profiles": q_validate_profiles,
+        "crawl_smoke": q_crawl_smoke,
+        "crawl_stream": q_crawl_stream,
+        "phash_neardup": q_phash_neardup,
+        "lse_report": q_lse_report,
+        "audio_features": q_audio_features,
+        "frame_sample": q_frame_sample,
+        "approx_distinct": q_approx_distinct,
+        "approx_quantiles": q_approx_quantiles,
+        "semdedup": q_semdedup,
+        "pagerank": q_pagerank,
+        "chunk_dedup": q_chunk_dedup,
+        "dedup_clusters": q_dedup_clusters,
+        "pack_sequences": q_pack_sequences,
+        "range_shards": q_range_shards,
+        "curate": q_curate,
+        "lm_perplexity": q_lm_perplexity,
+        "image_features": q_image_features,
     }
 
 

@@ -19,7 +19,6 @@ _BRACKETS_RE = re.compile(r"\((.*?)\)")
 _LAST_COMMA_RE = re.compile(r",\s*$")
 _LAST_COLON_RE = re.compile(r":\s*$")
 _PARENS_ANY_RE = re.compile(r"\(.*\)")
-_BAR_LETTER_RE = re.compile(r"¦[a-zA-Z]")
 
 
 def match_percentage(line: str) -> list[str] | None:
@@ -147,12 +146,3 @@ def remove_last_character(data: str, char: str) -> str:
 
 def remove_parenthesis(data: str) -> str:
     return data.replace("(", "").replace(")", "")
-
-
-def check_if_char_is_followed_by_letters(data: str, char: str = "¦") -> bool:
-    """True when the marker char is immediately followed by a letter
-    (ref regexLib.js:267-274 — the reference hardcodes ``¦`` regardless of
-    the ``char`` argument; mirrored)."""
-    if not data:
-        return False
-    return _BAR_LETTER_RE.search(data) is not None

@@ -137,11 +137,6 @@ def get_keys_by_value(item: dict, value) -> list:
     return [k for k, v in item.items() if v == value]
 
 
-def does_array_contain_string(arr: list, needle: str) -> bool:
-    """(ref utils.js:75-80)"""
-    return any(isinstance(el, str) and needle in el for el in arr)
-
-
 def split_at_first(s: str, sep: str) -> tuple[str, str]:
     """JS ``String.prototype.splitAtFirst`` from the reference (parser.js:50-53).
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import edge_shards
+
 
 def connected_components(edges_df: pd.DataFrame, num_shards: int = 8,
                          max_rounds: int = 50) -> pd.DataFrame:
@@ -65,8 +67,9 @@ def connected_components_ds(edges_ds, num_shards: int = 8,
     Scale shape — the driver never holds an edge, a node, or a label:
 
     - Edges partition ONCE: both orientations (dst, src) shard by
-      ``src % num_shards``; one extract task per shard pins its slice in
-      the object store and the driver keeps only the ObjectRefs.
+      ``src % num_shards`` through ``exchange.edge_shards``; each shard's
+      slice is pinned in the object store and the driver keeps only the
+      ObjectRefs.
     - (node, label) lives as a Dataset between rounds, materialized in
       the object store (distributed blocks, not driver memory).
     - Each round is one BSP superstep expressed as two co-partitioned
@@ -107,40 +110,7 @@ def connected_components_ds(edges_ds, num_shards: int = 8,
         })
 
     oriented = edges_ds.map_batches(orient, batch_format="pandas").materialize()
-    block_refs = oriented.to_arrow_refs()
-
-    _EMPTY_EDGES = pd.DataFrame({"dst": pd.Series(dtype=np.int64),
-                                 "src": pd.Series(dtype=np.int64)})
-
-    # one-time edge exchange, two hops so no single task ever holds the
-    # whole edge list (round 5): per-block SPLIT tasks emit num_shards
-    # separate slice objects; per-shard CONCAT tasks fold only their own
-    # 1/S slices — transient memory O(block) then O(edges/S), not O(edges)
-    @ray.remote
-    def split_block(bl):
-        if not bl.num_rows:
-            out = [_EMPTY_EDGES] * num_shards
-        else:
-            df = bl.to_pandas()
-            mod = df["src"].to_numpy() % num_shards
-            out = [df[mod == s].reset_index(drop=True)
-                   for s in range(num_shards)]
-        return out if num_shards > 1 else out[0]
-
-    @ray.remote
-    def concat_shard(*frames):
-        frames = [f for f in frames if len(f)]
-        if not frames:
-            return _EMPTY_EDGES
-        return pd.concat(frames, ignore_index=True)
-
-    if num_shards == 1:
-        slice_refs = [[split_block.remote(r)] for r in block_refs]
-    else:
-        slice_refs = [split_block.options(num_returns=num_shards).remote(r)
-                      for r in block_refs]
-    edge_refs = {s: concat_shard.remote(*[sr[s] for sr in slice_refs])
-                 for s in range(num_shards)}
+    edge_refs = edge_shards(oriented, num_shards)
 
     def init_labels(batch: pd.DataFrame) -> pd.DataFrame:
         u = np.unique(batch["dst"].to_numpy())

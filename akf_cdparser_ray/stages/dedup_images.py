@@ -22,13 +22,6 @@ import pandas as pd
 logger = logging.getLogger(__name__)
 
 
-def phash_bands(phash: int, bands: int = 4) -> list[int]:
-    u = np.uint64(phash).item() & 0xFFFFFFFFFFFFFFFF
-    width = 64 // bands
-    mask = (1 << width) - 1
-    return [(u >> (i * width)) & mask for i in range(bands)]
-
-
 def _hamming_vec(x: np.ndarray) -> np.ndarray:
     """Popcount of a uint64 array (vectorized via byte-wise unpackbits)."""
     return np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)

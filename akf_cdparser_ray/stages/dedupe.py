@@ -234,9 +234,6 @@ class FrontierShard:
                 pending[h] = (int(depths[i]), canons[i], hosts[i])
         return len(hashes)
 
-    def offered_count(self, wave: int = 0) -> int:
-        return self.offered.get(wave, 0)
-
     def offer_stream(self, canons: list[str], hashes: list[int],
                      hosts: list[str], depths: list[int],
                      epoch: int = 0, wid: int | None = None) -> int:
@@ -751,13 +748,6 @@ class ShardedSeenSet:
             out[idxs] = ray.get(fut)
         return out
 
-    def serialize_pages(self) -> list[bytes]:
-        return ray.get([s.serialize.remote() for s in self.shards])
-
-    def restore_pages(self, pages: list[bytes]) -> None:
-        assert len(pages) == self.num_shards
-        ray.get([s.restore_page.remote(p) for s, p in zip(self.shards, pages)])
-
     def total(self) -> int:
         return sum(ray.get([s.size.remote() for s in self.shards]))
 
@@ -765,14 +755,3 @@ class ShardedSeenSet:
         for s in self.shards:
             ray.kill(s)
         self.shards = []
-
-
-def exact_dedupe_first(ds, key: str = "url_hash"):
-    """Exact within-wave dedupe as a Dataset op: hash-partition by key, keep
-    the first row per group (deterministic tie-break on url_canon)."""
-    import pandas as pd
-
-    def first(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values("url_canon").head(1)
-
-    return ds.groupby(key).map_groups(first, batch_format="pandas")

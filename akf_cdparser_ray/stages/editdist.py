@@ -104,8 +104,11 @@ def edit_distance_pairs(ds, key: str = "doc_id", text_col: str = "text",
     def expand(batch: pd.DataFrame) -> pd.DataFrame:
         bks, ids, ps, roles = [], [], [], []
         if key in batch.columns and len(batch):
-            for kid, txt in zip(batch[key].tolist(),
-                                batch[text_col].fillna("").tolist()):
+            # a NULL text has no prefix and pairs with nothing (SQL:
+            # levenshtein(substr(NULL, ...), ...) is NULL)
+            live = batch[batch[text_col].notna()]
+            for kid, txt in zip(live[key].tolist(),
+                                live[text_col].tolist()):
                 p = str(txt)[:prefix_len].encode("utf-8")
                 L = len(p)
                 ph = p.hex()

@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.io import finalize_partition
+from .exchange import rank_join
 from .sketches import TDigest
 
 
@@ -124,90 +125,26 @@ def global_rank(ds, col: str, key: str = "doc_id",
                 num_shards: int = 16, delta: int = 400):
     """EXACT global rank (distributed argsort) of every row by
     ``(col, key)`` — the curriculum-ordering / percentile-calibration
-    primitive. Same range-sharded rank-join shape as
-    ``sampling.epoch_shuffle``, but ranged on a VALUE column: t-digest
-    quantile cuts give ~balanced shards (approximation affects BALANCE
-    only, never correctness — all rows of a value route to one shard),
-    each shard sorts its (value, key) slice once into plasma, shard
-    counts give global offsets, and a stateless probe pass computes
-    every row's position by two searchsorted calls + a key tie-break.
-    No all-to-all sort of the payload, no driver materialization.
+    primitive. ``exchange.rank_join`` ranged on a VALUE column:
+    t-digest quantile cuts give ~balanced shards (approximation affects
+    BALANCE only, never correctness — all rows of a value route to one
+    shard). No all-to-all sort of the payload, no driver
+    materialization.
 
     SQL mirror (exact): ``row_number() OVER (ORDER BY col, key) - 1``.
     Returns a Dataset of (key, col, rank)."""
-    import ray
-
     bounds = key_boundaries(ds, col, num_shards, delta)
 
     def keyed(batch: pd.DataFrame) -> pd.DataFrame:
         if key not in batch.columns or not len(batch):
             return pd.DataFrame({key: pd.Series(dtype="int64"),
-                                 col: pd.Series(dtype="int64")})
-        return batch[[key, col]]
+                                 col: pd.Series(dtype="int64"),
+                                 "_v": pd.Series(dtype="float64")})
+        return batch[[key, col]].assign(
+            _v=batch[col].to_numpy().astype(np.float64))
 
     keyed_ds = ds.map_batches(keyed, batch_format="pandas",
                               batch_size=None).materialize()
-    refs = keyed_ds.to_arrow_refs()
-    S = num_shards
-
-    @ray.remote
-    def split(bl):
-        if not bl.num_rows or col not in bl.schema.names:
-            out = [(np.empty(0, np.float64), np.empty(0, object))] * S
-            return out if S > 1 else out[0]
-        v = bl.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
-        k = bl.column(key).to_numpy(zero_copy_only=False)
-        sid = np.searchsorted(bounds, v, side="right")
-        out = []
-        for s in range(S):
-            sel = np.flatnonzero(sid == s)
-            out.append((v[sel], k[sel]))
-        return out if S > 1 else out[0]
-
-    @ray.remote
-    def merge(*slices):
-        v = (np.concatenate([a for a, _ in slices]) if slices
-             else np.empty(0, np.float64))
-        k = (np.concatenate([b for _, b in slices]) if slices
-             else np.empty(0, object))
-        order = np.lexsort((k, v))  # (value asc, key asc) — the SQL order
-        return v[order], k[order]
-
-    @ray.remote
-    def shard_len(pair):
-        return len(pair[0])
-
-    if S == 1:
-        slice_refs = [[split.remote(r)] for r in refs]
-    else:
-        slice_refs = [split.options(num_returns=S).remote(r) for r in refs]
-    shard_refs = {s: merge.remote(*[sr[s] for sr in slice_refs])
-                  for s in range(S)}
-    lens = ray.get([shard_len.remote(shard_refs[s]) for s in range(S)])
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
-
-    def rank(batch: pd.DataFrame) -> pd.DataFrame:
-        if col not in batch.columns or not len(batch):
-            return pd.DataFrame({key: pd.Series(dtype="int64"),
-                                 col: pd.Series(dtype="int64"),
-                                 "rank": pd.Series(dtype="int64")})
-        v = batch[col].to_numpy().astype(np.float64)
-        kv = batch[key].to_numpy()
-        sid = np.searchsorted(bounds, v, side="right")
-        pos = np.empty(len(v), dtype=np.int64)
-        for s in np.unique(sid):
-            vs, ks = ray.get(shard_refs[int(s)])  # plasma, node-shared
-            sel = np.flatnonzero(sid == s)
-            lo = np.searchsorted(vs, v[sel], side="left")
-            hi = np.searchsorted(vs, v[sel], side="right")
-            p = lo.astype(np.int64)
-            for j in np.flatnonzero(hi - lo > 1):  # value ties: key breaks
-                i0, i1 = lo[j], hi[j]
-                p[j] = i0 + int(np.searchsorted(
-                    np.sort(ks[i0:i1]), kv[sel[j]], side="left"))
-            pos[sel] = offsets[s] + p
-        return pd.DataFrame({key: kv, col: batch[col].to_numpy(),
-                             "rank": pos})
-
-    return keyed_ds.map_batches(rank, batch_format="pandas",
-                                batch_size=None)
+    return rank_join(keyed_ds, num_shards,
+                     lambda v: np.searchsorted(bounds, v, side="right"),
+                     "_v", key, "rank")

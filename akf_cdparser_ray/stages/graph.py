@@ -5,11 +5,10 @@ the discovered link graph is the classic one (Page et al., 1999). The
 execution shape mirrors ``stages/components.connected_components_ds``
 (the BSP pattern this repo already trusts at scale):
 
-- **Edges partition ONCE** by ``src % num_shards`` through the two-hop
-  exchange (per-block split tasks with ``num_returns``, per-shard
-  concat of only its own slices) into object-store frames; the driver
-  keeps ObjectRefs only. Out-degrees are shard-local (a src's edges all
-  live in its shard).
+- **Edges partition ONCE** by ``src % num_shards`` through
+  ``exchange.edge_shards`` (the two-hop exchange) into object-store
+  frames; the driver keeps ObjectRefs only. Out-degrees are
+  shard-local (a src's edges all live in its shard).
 - **Ranks live as a Dataset** between iterations, materialized in the
   object store (distributed blocks, never driver memory).
 - **Each iteration is two co-partitioned ``groupby(shard).map_groups``
@@ -35,44 +34,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-
-_EMPTY_EDGES = pd.DataFrame({"src": pd.Series(dtype=np.int64),
-                             "dst": pd.Series(dtype=np.int64)})
-
-
-def _edge_shards(edges_ds, num_shards: int) -> dict:
-    """One-time two-hop exchange: edges → per-shard pandas frames keyed
-    by ``src % num_shards``, each sorted by (src, dst) and pinned in the
-    object store. O(block) then O(edges/S) transient memory per task."""
-    block_refs = edges_ds.to_arrow_refs()
-
-    @ray.remote
-    def split_block(bl):
-        if not bl.num_rows or "src" not in bl.schema.names:
-            out = [_EMPTY_EDGES] * num_shards
-        else:
-            df = bl.to_pandas()[["src", "dst"]]
-            mod = df["src"].to_numpy(dtype=np.int64) % num_shards
-            out = [df[mod == s].reset_index(drop=True)
-                   for s in range(num_shards)]
-        return out if num_shards > 1 else out[0]
-
-    @ray.remote
-    def concat_shard(*frames):
-        frames = [f for f in frames if len(f)]
-        if not frames:
-            return _EMPTY_EDGES
-        return (pd.concat(frames, ignore_index=True)
-                .sort_values(["src", "dst"], kind="mergesort")
-                .reset_index(drop=True))
-
-    if num_shards == 1:
-        slice_refs = [[split_block.remote(r)] for r in block_refs]
-    else:
-        slice_refs = [split_block.options(num_returns=num_shards).remote(r)
-                      for r in block_refs]
-    return {s: concat_shard.remote(*[sr[s] for sr in slice_refs])
-            for s in range(num_shards)}
+from .exchange import EMPTY_EDGES, edge_shards
 
 
 def pagerank_ds(edges_ds, iters: int = 10, d: float = 0.85,
@@ -94,13 +56,13 @@ def pagerank_ds(edges_ds, iters: int = 10, d: float = 0.85,
 
     def norm(batch: pd.DataFrame) -> pd.DataFrame:
         if "src" not in batch.columns or not len(batch):
-            return _EMPTY_EDGES
+            return EMPTY_EDGES
         return pd.DataFrame({
             "src": batch["src"].to_numpy(dtype=np.int64),
             "dst": batch["dst"].to_numpy(dtype=np.int64)})
 
     edges = edges_ds.map_batches(norm, batch_format="pandas").materialize()
-    edge_refs = _edge_shards(edges, num_shards)
+    edge_refs = edge_shards(edges, num_shards)
 
     # node discovery: every endpoint, deduped inside its own shard
     def endpoints(batch: pd.DataFrame) -> pd.DataFrame:
@@ -258,7 +220,7 @@ def triangle_count(edges_ds, num_shards: int = 16) -> pd.DataFrame:
     |N+(a) ∩ N+(b)|, N+ = higher-numbered neighbors.
 
     Shape: the oriented edges exchange ONCE into per-shard sorted
-    frames (``_edge_shards``'s two-hop pattern, src % num_shards), each
+    frames (``exchange.edge_shards``, src % num_shards), each
     shard dedups locally, then S probe tasks each walk THEIR OWN edges:
     N+(u) is shard-local by construction, N+(v) comes from shard
     v % S fetched by ref (plasma, node-shared; held one at a time).
@@ -270,7 +232,7 @@ def triangle_count(edges_ds, num_shards: int = 16) -> pd.DataFrame:
 
     def orient(batch: pd.DataFrame) -> pd.DataFrame:
         if "src" not in batch.columns or not len(batch):
-            return _EMPTY_EDGES
+            return EMPTY_EDGES
         s = batch["src"].to_numpy(dtype=np.int64)
         d = batch["dst"].to_numpy(dtype=np.int64)
         keep = s != d
@@ -280,9 +242,9 @@ def triangle_count(edges_ds, num_shards: int = 16) -> pd.DataFrame:
         return (pd.DataFrame({"src": u, "dst": v})
                 .drop_duplicates(ignore_index=True))
 
-    shards = _edge_shards(edges_ds.map_batches(orient,
-                                               batch_format="pandas"),
-                          num_shards)
+    shards = edge_shards(edges_ds.map_batches(orient,
+                                              batch_format="pandas"),
+                         num_shards)
 
     @ray.remote
     def dedup_shard(df):

@@ -369,17 +369,6 @@ def write_xlsx_report(sectors: list[dict], path: str,
                       creator="lineSegmentAnalyzer", widths=widths)
 
 
-def render_csv(sectors: list[dict], ignore_whitespaces: bool = True) -> str:
-    """CSV rendering of the grid (the engine's xlsx replacement)."""
-    grid = render_cells(sectors, ignore_whitespaces)
-    cols = grid["columns"]
-    out = []
-    for row in sorted(grid["cells"]):
-        vals = grid["cells"][row]
-        out.append(",".join(str(vals.get(c, "")) for c in cols))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # distributed pipeline
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ import hashlib
 import numpy as np
 import pandas as pd
 
+from .exchange import rank_join
+
 _BUCKETS = 10_000
 
 
@@ -231,22 +233,18 @@ def epoch_shuffle(ds, key: str = "doc_id", epoch: int = 0,
     — the reproducible training-epoch shuffle (same key + epoch → same
     position, on any partitioning, any cluster size, after any resume).
 
-    Scale shape — a rank join, not a sort: hashing is embarrassingly
-    parallel; the hash space is RANGE-partitioned by its top bits into
-    ``num_shards`` sorted object-store arrays (the build_id_shards
-    two-hop exchange: per-block split tasks with ``num_returns``, then
-    per-shard merges touching only their own 1/S slices), the driver
-    holds S shard counts (for the global offsets) and S ObjectRefs —
-    never a row; each block then computes its rows' positions with a
-    ``searchsorted`` probe against its shard (plasma-shared per node).
+    Scale shape — ``exchange.rank_join``, not a sort: hashing is
+    embarrassingly parallel; the hash space is RANGE-partitioned by its
+    top bits into ``num_shards`` (rounded up to a power of two) sorted
+    object-store shards, the driver holds S shard counts (for the global
+    offsets) and S ObjectRefs — never a row; each block then computes
+    its rows' positions with a ``searchsorted`` probe against its shard.
     No all-to-all sort of the payload, no driver materialization.
 
     SQL mirror (hash-exact): ``row_number() OVER (ORDER BY
     md5_number_lower(CAST(key AS VARCHAR) || '|ep<epoch>') ASC, key ASC)
     - 1``. Returns a Dataset of (key, pos)."""
     import math
-
-    import ray
 
     salt = f"|ep{epoch}"
     S = 1 << max(0, int(math.ceil(math.log2(max(1, num_shards)))))
@@ -266,64 +264,7 @@ def epoch_shuffle(ds, key: str = "doc_id", epoch: int = 0,
 
     keyed_ds = ds.map_batches(keyed, batch_format="pandas",
                               batch_size=None).materialize()
-    refs = keyed_ds.to_arrow_refs()
-
-    @ray.remote
-    def split(bl):
-        ks = bl.column("_k").to_numpy(zero_copy_only=False).astype(np.uint64)
-        kv = bl.column(key).to_numpy(zero_copy_only=False)
-        sid = _shard_of(ks)
-        out = []
-        for s in range(S):
-            sel = np.flatnonzero(sid == s)
-            out.append((ks[sel], kv[sel]))
-        return out if S > 1 else out[0]
-
-    @ray.remote
-    def merge(*slices):
-        ks = np.concatenate([a for a, _ in slices]) if slices else \
-            np.empty(0, np.uint64)
-        kv = np.concatenate([b for _, b in slices]) if slices else \
-            np.empty(0, object)
-        order = np.lexsort((kv, ks))  # (hash asc, key asc) — the SQL order
-        return ks[order], kv[order]
-
-    @ray.remote
-    def shard_len(pair):
-        return len(pair[0])
-
-    if S == 1:
-        slice_refs = [[split.remote(r)] for r in refs]
-    else:
-        slice_refs = [split.options(num_returns=S).remote(r) for r in refs]
-    shard_refs = {s: merge.remote(*[sr[s] for sr in slice_refs])
-                  for s in range(S)}
-    lens = ray.get([shard_len.remote(shard_refs[s]) for s in range(S)])
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
-
-    def rank(batch: pd.DataFrame) -> pd.DataFrame:
-        if "_k" not in batch.columns or not len(batch):
-            return pd.DataFrame({key: pd.Series(dtype="int64"),
-                                 "pos": pd.Series(dtype="int64")})
-        ks = batch["_k"].to_numpy(dtype=np.uint64)
-        kv = batch[key].to_numpy()
-        sid = _shard_of(ks)
-        pos = np.empty(len(ks), dtype=np.int64)
-        for s in np.unique(sid):
-            sks, skv = ray.get(shard_refs[int(s)])  # plasma, node-shared
-            sel = np.flatnonzero(sid == s)
-            lo = np.searchsorted(sks, ks[sel], side="left")
-            hi = np.searchsorted(sks, ks[sel], side="right")
-            p = lo.astype(np.int64)
-            for j in np.flatnonzero(hi - lo > 1):  # md5 ties: key breaks
-                i0, i1 = lo[j], hi[j]
-                p[j] = i0 + int(np.searchsorted(
-                    np.sort(skv[i0:i1]), kv[sel[j]], side="left"))
-            pos[sel] = offsets[s] + p
-        return pd.DataFrame({key: kv, "pos": pos})
-
-    return keyed_ds.map_batches(rank, batch_format="pandas",
-                                batch_size=None)
+    return rank_join(keyed_ds, S, _shard_of, "_k", key, "pos")
 
 
 def global_ntile(ds, key: str = "doc_id", k: int = 4, epoch: int = 0,

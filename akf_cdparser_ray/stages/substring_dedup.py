@@ -15,20 +15,19 @@ scale the equivalent shape is
    :func:`_gram_hashes`); grams crossing a document boundary are masked
    out. Per batch we emit PARTIAL ``(hash, count)`` pairs — the
    exchange carries distinct-gram partials, never positions.
-2. **dup-set exchange** — the two-hop one-time exchange (same pattern
-   as ``windows.build_id_shards`` / the components edge partitioning,
-   chosen over ``groupby().sum()`` because a 64-bit-hash key space has
-   ~one group per row and Ray's aggregate walks groups in Python):
-   per-block SPLIT tasks emit ``num_shards`` separate ``(h, n)``
-   slices, per-shard MERGE tasks sum counts over only their own 1/S
-   slices (``np.add.at`` over a ``np.unique`` inverse — C speed) and
-   pin the SORTED hashes with global count >= 2 in plasma. The driver
-   holds ObjectRefs only; peak task memory is O(block) then O(total/S).
+2. **dup-set exchange** — ``exchange.exchange``, the two-hop one-time
+   exchange (chosen over ``groupby().sum()`` because a 64-bit-hash key
+   space has ~one group per row and Ray's aggregate walks groups in
+   Python): per-block splits emit ``num_shards`` separate ``(h, n)``
+   slices, per-shard merges sum counts over only their own 1/S slices
+   (``np.add.at`` over a ``np.unique`` inverse — C speed) and pin the
+   SORTED hashes with global count >= 2 in plasma. The driver holds
+   ObjectRefs only; peak task memory is O(block) then O(total/S).
 3. **span assembly** (``map_batches``): each batch recomputes its gram
    hashes (cheap, deterministic), probes the shards with
-   ``searchsorted``, and merges marked gram starts into maximal spans —
-   two starts belong to one span when they are ``<= L`` apart (their
-   grams overlap or touch). Batch-layout independent: a span depends
+   ``exchange.member_mask``, and merges marked gram starts into maximal
+   spans — two starts belong to one span when they are ``<= L`` apart
+   (their grams overlap or touch). Batch-layout independent: a span depends
    only on the global dup set and the document's own bytes.
 
 Collision caveat (documented, not hidden): the gram hash is a 64-bit
@@ -47,7 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray
+
+from .exchange import exchange, member_mask
 
 # default multiplier: odd (invertible mod 2^64) FNV-1a prime
 _DEFAULT_BASE = 0x100000001B3
@@ -122,24 +122,17 @@ def dup_gram_shards(ds, L: int = 20, text_col: str = "text",
         return pd.DataFrame({"h": u.view(np.int64),
                              "n": c.astype(np.int64)})
 
-    refs = (ds.map_batches(partial, batch_format="pandas")
-              .to_arrow_refs())
-
-    @ray.remote
     def split(bl):
         if not bl.num_rows or "h" not in bl.schema.names:
-            out = [(np.empty(0, np.int64), np.empty(0, np.int64))
-                   for _ in range(num_shards)]
-        else:
-            hv = (bl.column("h").to_numpy(zero_copy_only=False)
-                  .astype(np.int64, copy=False))
-            nv = (bl.column("n").to_numpy(zero_copy_only=False)
-                  .astype(np.int64, copy=False))
-            mod = hv % num_shards
-            out = [(hv[mod == s], nv[mod == s]) for s in range(num_shards)]
-        return out if num_shards > 1 else out[0]
+            return [(np.empty(0, np.int64), np.empty(0, np.int64))
+                    for _ in range(num_shards)]
+        hv = (bl.column("h").to_numpy(zero_copy_only=False)
+              .astype(np.int64, copy=False))
+        nv = (bl.column("n").to_numpy(zero_copy_only=False)
+              .astype(np.int64, copy=False))
+        mod = hv % num_shards
+        return [(hv[mod == s], nv[mod == s]) for s in range(num_shards)]
 
-    @ray.remote
     def merge(*slices):
         hs = [h for h, _ in slices if len(h)]
         if not hs:
@@ -151,29 +144,8 @@ def dup_gram_shards(ds, L: int = 20, text_col: str = "text",
         np.add.at(tot, inv, n_all)
         return u[tot >= 2]  # np.unique output is already sorted
 
-    if num_shards == 1:
-        slice_refs = [[split.remote(r)] for r in refs]
-    else:
-        slice_refs = [split.options(num_returns=num_shards).remote(r)
-                      for r in refs]
-    return {s: merge.remote(*[sr[s] for sr in slice_refs])
-            for s in range(num_shards)}
-
-
-def _mark_dup_grams(hv: np.ndarray, shards: dict,
-                    num_shards: int) -> np.ndarray:
-    """Boolean mask over gram hashes (int64 view): True where the gram
-    is globally duplicated. Zero-copy plasma searchsorted probe."""
-    dup_mask = np.zeros(len(hv), dtype=bool)
-    mod = hv % num_shards
-    for s in np.unique(mod):
-        arr = ray.get(shards[int(s)])
-        if not len(arr):
-            continue
-        sel = np.flatnonzero(mod == s)
-        p = np.clip(np.searchsorted(arr, hv[sel]), 0, len(arr) - 1)
-        dup_mask[sel[arr[p] == hv[sel]]] = True
-    return dup_mask
+    refs = ds.map_batches(partial, batch_format="pandas").to_arrow_refs()
+    return exchange(refs, num_shards, split, merge)
 
 
 def _merge_islands(doc_m: np.ndarray, rel_m: np.ndarray, L: int):
@@ -207,7 +179,7 @@ def duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
         h, doc, rel = _batch_grams(batch[text_col].tolist(), L, base)
         if not len(h):
             return empty
-        dup_mask = _mark_dup_grams(h.view(np.int64), shards, num_shards)
+        dup_mask = member_mask(h.view(np.int64), shards, num_shards)
         doc_m, rel_m = doc[dup_mask], rel[dup_mask]
         if not len(doc_m):
             return empty
@@ -242,8 +214,7 @@ def scrub_duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
         h, doc, rel = _batch_grams(texts, L, base)
         cut: dict[int, list[tuple[int, int]]] = {}
         if len(h):
-            dup_mask = _mark_dup_grams(h.view(np.int64), shards,
-                                       num_shards)
+            dup_mask = member_mask(h.view(np.int64), shards, num_shards)
             doc_m, rel_m = doc[dup_mask], rel[dup_mask]
             if len(doc_m):
                 s_idx, e_idx = _merge_islands(doc_m, rel_m, L)

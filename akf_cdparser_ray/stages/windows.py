@@ -11,6 +11,8 @@ from __future__ import annotations
 import pandas as pd
 import ray
 
+from .exchange import exchange, member_mask, shard_lens
+
 
 def tumbling_window_counts(events_ds, freq: str = "h"):
     """Tumbling-window counts/sums per (window_start, event_type)."""
@@ -125,40 +127,24 @@ def _split_ids_block(bl, key: str, num_shards: int) -> list:
 def build_id_shards(ids_ds, key: str, num_shards: int) -> dict:
     """Hash-partition an integer id column into SORTED per-shard numpy
     arrays pinned in the object store. The driver holds only the
-    ObjectRefs — never an id set — and the exchange is two remote hops
-    (the one-time exchange; same pattern as the components edge
-    partitioning). Workers later ``ray.get`` a shard zero-copy from
-    plasma (one shared mapping per node, not a per-task Python-set copy).
+    ObjectRefs — never an id set — and the exchange is the two-hop
+    ``exchange.exchange``. Workers later probe a shard zero-copy from
+    plasma (``exchange.member_mask``: one shared mapping per node, not a
+    per-task Python-set copy).
 
-    Exchange shape (round 5): per-block SPLIT tasks emit ``num_shards``
-    separate objects (``num_returns``), and each per-shard MERGE task
-    concatenates only its own 1/S slices — transient memory per task is
-    O(block) then O(total/S), never O(total) (a merge that received every
-    block and filtered would OOM workers at a 100-TB drop list long
-    before plasma fills)."""
+    Transient memory per task is O(block) then O(total/S), never
+    O(total) (a merge that received every block and filtered would OOM
+    workers at a 100-TB drop list long before plasma fills)."""
     import numpy as np
 
-    refs = ids_ds.to_arrow_refs()
-
-    @ray.remote
-    def split(bl):
-        out = _split_ids_block(bl, key, num_shards)
-        return out if num_shards > 1 else out[0]
-
-    @ray.remote
     def merge(*slices):
         arrs = [a for a in slices if len(a)]
         if not arrs:
             return np.empty(0, np.int64)
         return np.unique(np.concatenate(arrs))
 
-    if num_shards == 1:
-        slice_refs = [[split.remote(r)] for r in refs]
-    else:
-        slice_refs = [split.options(num_returns=num_shards).remote(r)
-                      for r in refs]
-    return {s: merge.remote(*[sr[s] for sr in slice_refs])
-            for s in range(num_shards)}
+    return exchange(ids_ds.to_arrow_refs(), num_shards,
+                    lambda bl: _split_ids_block(bl, key, num_shards), merge)
 
 
 def anti_join_ids(left_ds, ids_ds, key: str = "doc_id",
@@ -176,27 +162,16 @@ def anti_join_ids(left_ds, ids_ds, key: str = "doc_id",
     driver id set, no per-task set copy: 8 bytes/id shared per node via
     plasma, spillable.
 
-    ``ids_ds``: a Dataset with column ``key``, or a prebuilt shard dict
-    from :func:`build_id_shards`."""
+    ``ids_ds``: a Dataset with column ``key``."""
     import numpy as np
 
-    shards = (ids_ds if isinstance(ids_ds, dict)
-              else build_id_shards(ids_ds, key, num_shards))
+    shards = build_id_shards(ids_ds, key, num_shards)
 
     def probe(batch: pd.DataFrame) -> pd.DataFrame:
         if key not in batch.columns or not len(batch):
             return batch
         ids = batch[key].to_numpy(dtype=np.int64)
-        keep = np.ones(len(ids), dtype=bool)
-        mod = ids % num_shards
-        for s in np.unique(mod):
-            arr = ray.get(shards[int(s)])  # zero-copy plasma read
-            if not len(arr):
-                continue
-            sel = np.flatnonzero(mod == s)
-            pos = np.clip(np.searchsorted(arr, ids[sel]), 0, len(arr) - 1)
-            keep[sel[arr[pos] == ids[sel]]] = False
-        return batch[keep]
+        return batch[~member_mask(ids, shards, num_shards)]
 
     return left_ds.map_batches(probe, batch_format="pandas",
                                batch_size=None)
@@ -491,8 +466,7 @@ def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
     from akf_cdparser_ray.state.filters import BloomFilter
 
     ids_key = ids_key or key
-    shards = (ids_ds if isinstance(ids_ds, dict)
-              else build_id_shards(ids_ds, ids_key, num_shards))
+    shards = build_id_shards(ids_ds, ids_key, num_shards)
 
     def _mix64(x: "np.ndarray") -> "np.ndarray":
         # splitmix64 finalizer, vectorized with uint64 wraparound
@@ -505,9 +479,7 @@ def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
             x ^= x >> np.uint64(31)
         return x
 
-    n_ids_per_shard = ray.get([
-        _shard_len.remote(shards[s]) for s in range(num_shards)])
-    capacity = max(1, sum(n_ids_per_shard))
+    capacity = max(1, sum(shard_lens(shards)))
 
     @ray.remote
     def partial_bloom(arr) -> bytes:
@@ -533,23 +505,12 @@ def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
         f.nbits, f.k, f.count = nbits, 7, 0
         f.bits = ray.get(bits_ref)  # zero-copy plasma read, shared per node
         keep = f.contains_many(_mix64(ids))          # bloom prefilter
-        for s in np.unique(ids[keep] % num_shards):  # exact verify survivors
-            arr = ray.get(shards[int(s)])
-            sel = np.flatnonzero(keep & (ids % num_shards == s))
-            if not len(arr):
-                keep[sel] = False
-                continue
-            pos = np.clip(np.searchsorted(arr, ids[sel]), 0, len(arr) - 1)
-            keep[sel[arr[pos] != ids[sel]]] = False
+        sel = np.flatnonzero(keep)                   # exact verify survivors
+        keep[sel] = member_mask(ids[sel], shards, num_shards)
         return batch[keep]
 
     return left_ds.map_batches(probe, batch_format="pandas",
                                batch_size=None)
-
-
-@ray.remote
-def _shard_len(arr) -> int:
-    return int(len(arr))
 
 
 def hopping_window_counts(events_ds, *, size_s: int = 3600,

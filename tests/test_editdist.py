@@ -122,3 +122,19 @@ def test_bucket_cap_raises_on_degenerate_segment():
     ds = rd.from_pandas([df])
     with pytest.raises(Exception, match="bucket"):
         edit_distance_pairs(ds, prefix_len=16, tau=2, bucket_cap=30)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_null_text_pairs_with_nothing():
+    """A NULL text has no prefix, so it pairs with no document — as in
+    the SQL oracle, where levenshtein(substr(NULL, ...), ...) is NULL.
+    Read as "" it would pair with every text of at most tau bytes."""
+    import ray.data as rd
+
+    df = pd.DataFrame({"doc_id": range(5),
+                       "text": ["ab", None, "x", "abcdefgh", None]})
+    got = edit_distance_pairs(rd.from_pandas([df]), prefix_len=16, tau=2)
+    texts = {i: t for i, t in enumerate(df["text"]) if t is not None}
+    assert list(got.itertuples(index=False, name=None)) == \
+        brute_pairs(texts, 16, 2)
+    assert not {1, 4} & (set(got["a"]) | set(got["b"]))

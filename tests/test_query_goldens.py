@@ -87,3 +87,14 @@ def test_goldens_cover_every_rows_only_query():
 
     rows_only = set(entry.queries()) - set(entry.oracle_sql())
     assert rows_only == set(GOLDENS)
+
+
+def test_oracled_queries_come_first():
+    """The correctness gate checks the first 50 queries() entries; every
+    oracled entry precedes every rows-only one, so all 50 are oracled."""
+    import __ray_entry__ as entry
+
+    oracled = set(entry.oracle_sql())
+    names = list(entry.queries())
+    assert all(n in oracled for n in names[:50])
+    assert all(n in oracled for n in names[:len(oracled)])
