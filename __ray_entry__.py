@@ -70,10 +70,11 @@ _ship_package_by_value()
 
 def entry() -> Any:
     """Flagship pipeline at sf0.001 scale: synthetic Aktienführer pages →
-    actor-pool parse → image+caption pairs Dataset."""
+    task-based parse (per-process cached parser state) → image+caption
+    pairs Dataset."""
     from akf_cdparser_ray.pipelines import flagship
 
-    return flagship.pairs_pipeline(n_pages=120, batch_size=16, concurrency=(1, 4))
+    return flagship.pairs_pipeline(n_pages=120, batch_size=16)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ def q_parse_profiles(_sf_dir: str):
     from akf_cdparser_ray.pipelines import flagship
 
     rows = (
-        flagship.pairs_pipeline(n_pages=40, batch_size=8, concurrency=2)
+        flagship.pairs_pipeline(n_pages=40, batch_size=8)
         .select_columns(["image_id", "status", "caption"])  # never pull `bytes` to the driver
         .take_all()
     )
@@ -426,7 +427,7 @@ def q_validate_profiles(_sf_dir: str):
     from akf_cdparser_ray.stages.parse_stage import ValidateProfiles
 
     parsed = parse_pages(
-        pages_dataset(40), batch_size=8, concurrency=2, with_residue=True
+        pages_dataset(40), batch_size=8, with_residue=True
     )
     rows = (
         parsed.map_batches(ValidateProfiles(), batch_format="pyarrow")
@@ -465,7 +466,6 @@ def q_crawl_smoke(_sf_dir: str):
     cfg = CrawlConfig(
         seeds=seeds, corpus_size=40, out_dir=tempfile.mkdtemp(prefix="crawlq_"),
         num_shards=4, num_politeness_shards=2, dequeue_k=6, max_waves=2,
-        parse_concurrency=1, fetch_concurrency=1,
     )
     job = CrawlJob(cfg)
     summary = job.run()

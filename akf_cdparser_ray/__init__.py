@@ -13,7 +13,8 @@ capabilities of UB-Mannheim/akf-cdparser, re-expressed Ray-Data-first:
   pools) for parse, fetch, link extraction, dedup, text analysis, ANN.
 * ``state/``     — sharded URL-seen filters (bloom/cuckoo), politeness token
   buckets, robots cache, checkpoint manifests.
-* ``pipelines/`` — the flagship parse pipeline and the wave-based crawl loop.
+* ``pipelines/`` — the flagship parse pipeline and the wave and streaming
+  crawl modes, which share one content body (``stages/content.py``).
 
 Nothing in this package calls ``ray.init()``/``ray.shutdown()`` — sessions are
 owned by the caller (driver, ``bench.py``, or the pytest fixture).

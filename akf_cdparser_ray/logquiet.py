@@ -5,7 +5,9 @@ guards every consumer against — see CLAUDE.md), and the streaming
 executor then logs a schema-divergence warning for each such bundle.
 Those warnings are pure noise that buries real ones, so entry points
 install a filter that drops ONLY the empty-new-schema divergence class;
-a genuine divergence between two non-empty schemas still logs."""
+a genuine divergence between two non-empty schemas still logs. The same
+entry points also drop Ray's schema-hash fallback notice for schemas that
+carry metadata (``_SchemaHashFilter``)."""
 
 from __future__ import annotations
 
@@ -40,12 +42,32 @@ class _EmptyColumnSizeFilter(logging.Filter):
                     and "size 0 inputs" in msg)
 
 
+# pyarrow 16 raises on hash(schema) when the schema carries metadata (the
+# pandas metadata of Table.from_pandas and of pandas-written parquet); Ray's
+# unify_schemas logs this and falls back to the full unify, same result
+_SCHEMA_HASH_NOISE = ("Failed to hash the schemas (for deduplication): "
+                      "unhashable type: 'dict'")
+
+
+class _SchemaHashFilter(logging.Filter):
+    """Drop only the exact metadata-schema hash failure; any other hash
+    failure still logs."""
+
+    def filter(self, record: logging.LogRecord) -> bool:  # True = keep
+        return record.getMessage() != _SCHEMA_HASH_NOISE
+
+
+_FILTERS = (
+    ("ray.data._internal.execution.streaming_executor_state",
+     _EmptyBlockSchemaFilter),
+    ("ray.data._internal.pandas_block", _EmptyColumnSizeFilter),
+    ("ray.data._internal.arrow_ops.transform_pyarrow", _SchemaHashFilter),
+)
+
+
 def silence_empty_block_schema_warnings() -> None:
     """Install the filters once on the Ray Data loggers (idempotent)."""
-    logger = logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state")
-    if not any(isinstance(f, _EmptyBlockSchemaFilter) for f in logger.filters):
-        logger.addFilter(_EmptyBlockSchemaFilter())
-    blk = logging.getLogger("ray.data._internal.pandas_block")
-    if not any(isinstance(f, _EmptyColumnSizeFilter) for f in blk.filters):
-        blk.addFilter(_EmptyColumnSizeFilter())
+    for name, cls in _FILTERS:
+        logger = logging.getLogger(name)
+        if not any(isinstance(f, cls) for f in logger.filters):
+            logger.addFilter(cls())

@@ -6,11 +6,13 @@ actor-owned frontier:
     frontier dequeue (per-shard priority top-k from the FrontierShard
       actors — LSM-run merge, never a full sort)
       → politeness/robots gate (host-hash-pinned shard actors, hot-host salting)
-      → fetch (synthetic) → parse (dictionary cache) → image+caption pairs
-        partition (worker-side fragment writes)
-      → link extraction → explicit hash-partitioned exchange: each task
-        offers its links straight to the owning FrontierShard
-        (``url_hash % S``), which cuckoo-dedupes and min-merges them
+      → the shared content body (stages/content.py, also run by the
+        stream mode): fetch (synthetic) → parse (dictionary cache) →
+        image+caption pairs partition (worker-side fragment writes) →
+        link extraction split by ``url_hash % S``
+      → explicit hash-partitioned exchange: each task offers its link
+        slices straight to the owning FrontierShard, which cuckoo-dedupes
+        and min-merges them
       → frontier re-enqueue inside the shards at wave end
 
 The frontier priority queue and the URL-seen cuckoo page for each hash
@@ -60,9 +62,9 @@ import ray.data as rd
 
 from ..sources import io as aio
 from ..stages.cached import cached_fetch_batch, cached_parse_batch
+from ..stages.content import run_content
 from ..stages.dedupe import ShardedSeenSet
-from ..stages.frontier import FRONTIER_COLS
-from ..stages.links import canonicalize_url, extract_links_batch, host_of, url_hash64
+from ..stages.links import canonicalize_url
 from ..stages.politeness_stage import PolitenessShard
 
 
@@ -79,18 +81,12 @@ class CrawlConfig:
     n_salts: int = 4
     budgets: dict = field(default_factory=dict)
     filter_capacity: int = 1 << 16
-    parse_concurrency: int | tuple = 2
-    fetch_concurrency: int | tuple = 2
-    batch_size: int = 32
     # URLs per fetch/parse task: small tasks pack the fleet tightly and cap
     # the wave-barrier straggler at one task's wall (pure config ⇒ replay-safe)
     task_urls: int = 32
     seed: int = 42
     keep_trace: bool = True        # in-memory trace for summary(); segments on disk either way
     frontier_spill_rows: int | None = None  # per-shard in-memory cap; tail spills to parquet
-    # silence Ray Data progress bars / per-Dataset stat logs for the wave
-    # Datasets (each wave launches one; the bar actors add ~0.5s per launch)
-    quiet_data: bool = True
     # spawn + warm the map-task worker fleet (imports, dictionary caches) at
     # job construction — a long crawl amortizes worker spawn across thousands
     # of waves; warming moves that one-time cost out of the first wave
@@ -105,24 +101,6 @@ class CrawlConfig:
     visibility_lag: int | None = None
 
 
-def _seed_frontier(cfg: CrawlConfig) -> pd.DataFrame:
-    rows = []
-    for url in cfg.seeds:
-        canon = canonicalize_url(url)
-        rows.append(
-            {
-                "url_canon": canon,
-                "url_hash": np.uint64(url_hash64(canon)),
-                "host": host_of(canon),
-                "priority": 100,
-                "depth": 0,
-                "discovered_at": 0,
-            }
-        )
-    df = pd.DataFrame(rows, columns=FRONTIER_COLS)
-    return df.drop_duplicates("url_hash").reset_index(drop=True)
-
-
 _CTR_KEYS = [
     "dequeued", "allowed", "deferred", "robots_denied", "fetched", "http_404",
     "parsed_ok", "parse_err", "links", "links_new", "pairs_rows",
@@ -132,10 +110,11 @@ _CTR_KEYS = [
 class CrawlJob:
     def __init__(self, cfg: CrawlConfig):
         self.cfg = cfg
-        if cfg.quiet_data:
-            ctx = rd.DataContext.get_current()
-            ctx.enable_progress_bars = False
-            ctx.enable_auto_log_stats = False
+        # silence Ray Data progress bars / per-Dataset stat logs for the wave
+        # Datasets (each wave launches one; the bar actors add ~0.5s per launch)
+        ctx = rd.DataContext.get_current()
+        ctx.enable_progress_bars = False
+        ctx.enable_auto_log_stats = False
         self.seen = ShardedSeenSet(
             cfg.num_shards, cfg.filter_capacity,
             spill_threshold=cfg.frontier_spill_rows,
@@ -528,12 +507,12 @@ class CrawlJob:
         """ONE streaming Dataset pass for a wave over the gate-produced
         allowed-block refs (task_urls rows each; one block = one task —
         the rows go object store → fetch task without ever touching the
-        driver): fetch → parse → pairs fragment write → link extract
-        (fused task-based stages with per-process cached state). Each task
-        partitions its links by ``url_hash % S`` and offers them straight
-        to the owning FrontierShard actor — the RPC is the explicit
-        hash-partitioned exchange, moving only (canon, hash, host, depth)
-        projections. The shards buffer offers per wave and min-merge
+        driver): the shared content body (stages/content.run_content:
+        fetch → parse → pairs fragment write → link extract + shard split,
+        per-process cached fetch/parse state). Each task offers its link
+        slices straight to the owning FrontierShard actor — the RPC is the
+        explicit hash-partitioned exchange, moving only (canon, hash, host,
+        depth) projections. The shards buffer offers per wave and min-merge
         concurrent duplicates (order-independent, replay-safe); survivors
         enqueue at the wave-end flush. Tasks return one counter row each;
         links never reach the driver. Runs on a wave-pool thread
@@ -551,66 +530,32 @@ class CrawlJob:
             import hashlib as _hashlib
             import time as _time
 
-            import pyarrow.parquet as _pq
-
-            t0 = _time.perf_counter()
-            fetched_b = fetch_fn(batch)
-            t1 = _time.perf_counter()
-            mask = [s == "200" for s in fetched_b.column("fetch_status").to_pylist()]
-            ok_b = fetched_b.filter(pa.array(mask))
-            parsed_b = parse_fn(ok_b)
-            t2 = _time.perf_counter()
-            pairs_b = parsed_b.select(
-                ["image_id", "bytes", "w", "h", "fmt", "caption", "phash", "status"]
+            name = _hashlib.blake2b(
+                "|".join(batch.column("url_canon").to_pylist()).encode(),
+                digest_size=8,
+            ).hexdigest()
+            ctr, us, slices = run_content(
+                batch, fetch_fn, parse_fn,
+                os.path.join(pairs_tmp, f"part-{name}.parquet"), num_shards,
             )
-            if pairs_b.num_rows:
-                name = _hashlib.blake2b(
-                    "|".join(batch.column("url_canon").to_pylist()).encode(),
-                    digest_size=8,
-                ).hexdigest()
-                _pq.write_table(pairs_b, os.path.join(pairs_tmp, f"part-{name}.parquet"))
-            t3 = _time.perf_counter()
-            links_b = extract_links_batch(ok_b)
-            t4 = _time.perf_counter()
-            statuses = parsed_b.column("status").to_pylist()
+            t0 = _time.perf_counter()
             # offer links to their hash shard (fire-and-forget: the wave-end
             # flush barrier reconciles on the per-shard offer row counts this
             # row reports, so the task never blocks on shard RPC round-trips)
             per_shard = np.zeros(num_shards, dtype=np.int64)
-            if links_b.num_rows:
-                hashes = links_b.column("url_hash").to_numpy(zero_copy_only=False)
-                shard = (hashes % np.uint64(num_shards)).astype(np.int64)
-                # one arrow take sorted by shard, then contiguous slices per
-                # shard — no per-row Python indexing
-                order = np.argsort(shard, kind="stable")
-                sorted_b = links_b.take(pa.array(order))
-                canons = sorted_b.column("url_canon").to_pylist()
-                hosts = sorted_b.column("host").to_pylist()
-                depths = sorted_b.column("depth").to_pylist()
-                h_sorted = hashes[order]
-                s_sorted = shard[order]
-                uniq, starts = np.unique(s_sorted, return_index=True)
-                ends = np.append(starts[1:], len(s_sorted))
-                for s, st, en in zip(uniq, starts, ends):
-                    filter_shards[int(s)].offer.remote(
-                        canons[st:en], h_sorted[st:en].tolist(),
-                        hosts[st:en], depths[st:en], wave,
-                    )
-                    per_shard[int(s)] = en - st
-            t5 = _time.perf_counter()
+            for s, canons, hashes, hosts, depths in slices:
+                filter_shards[s].offer.remote(canons, hashes, hosts, depths, wave)
+                per_shard[s] = len(hashes)
+            t_offer = _time.perf_counter() - t0
             return pa.table(
                 {
-                    "fetched": pa.array([int(sum(mask))], pa.int64()),
-                    "http_404": pa.array([int(len(mask) - sum(mask))], pa.int64()),
-                    "pairs_rows": pa.array([pairs_b.num_rows], pa.int64()),
-                    "parsed_ok": pa.array([statuses.count("ok")], pa.int64()),
-                    "parse_err": pa.array([statuses.count("error")], pa.int64()),
+                    **{k: pa.array([ctr[k]], pa.int64()) for k in (
+                        "fetched", "http_404", "pairs_rows", "parsed_ok",
+                        "parse_err")},
                     "offers": pa.array([per_shard.tolist()], pa.list_(pa.int64())),
-                    "t_fetch": pa.array([t1 - t0], pa.float64()),
-                    "t_parse": pa.array([t2 - t1], pa.float64()),
-                    "t_write": pa.array([t3 - t2], pa.float64()),
-                    "t_links": pa.array([t4 - t3], pa.float64()),
-                    "t_offer": pa.array([t5 - t4], pa.float64()),
+                    **{f"t_{k}": pa.array([us[k] / 1e6], pa.float64())
+                       for k in ("fetch", "parse", "write", "links")},
+                    "t_offer": pa.array([t_offer], pa.float64()),
                 }
             )
 
@@ -687,22 +632,8 @@ class CrawlJob:
             self._resume_recs = []
             next_wave = (inflight[-1]["wave"] if inflight else self.wave) + 1
         else:
-            seeds = _seed_frontier(cfg)
-            # seeds enter the seen-set immediately (enqueue-once semantics)
-            is_new = self.seen.check_and_add(seeds["url_hash"].to_numpy(dtype=np.uint64))
-            seeds = seeds[is_new].reset_index(drop=True)
+            self.seen.seed_urls(cfg.seeds)
             self.wave = 0
-            shard_ids = (
-                seeds["url_hash"].to_numpy(dtype=np.uint64) % np.uint64(cfg.num_shards)
-            ).astype("int64")
-            acks = []
-            for s in range(cfg.num_shards):
-                sel = seeds[shard_ids == s]
-                if len(sel):
-                    acks.append(
-                        self.seen.shards[s].seed.remote(sel.reset_index(drop=True))
-                    )
-            ray.get(acks)
             self.checkpoint(None, [])
             next_wave = 1
 

@@ -1,6 +1,7 @@
-"""Flagship pipeline: pages → parse (actor pool) → image+caption pairs
+"""Flagship pipeline: pages → parse (task-based, per-process cached parser
+state — the same parse path the crawl modes run) → image+caption pairs
 (SURVEY.md §3.1 engine shape, minus the crawl loop which lives in
-``pipelines/crawl.py``).
+``pipelines/crawl.py`` and ``pipelines/stream_crawl.py``).
 
 Streaming end to end: no driver-side materialization; output is either a
 Dataset (caller consumes/writes) or partitioned parquet via ``write_pairs``.
@@ -11,38 +12,35 @@ from __future__ import annotations
 import ray.data as rd
 
 from ..sources import synth
-from ..stages.parse_stage import ParseProfiles
+from ..stages.cached import cached_parse_batch
+from ..stages.content import PAIRS_COLS
 
 
 def pages_dataset(n_pages: int, seed: int = synth.SEED, parallelism: int = 8):
-    """Synthetic pages as a Dataset. Generation happens driver-side at small
-    scale (test/bench corpora); at 100 TB the read is
+    """Synthetic pages as a Dataset of up to ``parallelism`` blocks (table
+    slices — no repartition of a tiny-row table). Generation happens
+    driver-side at small scale (test/bench corpora); at 100 TB the read is
     ``ray.data.read_lance/read_parquet`` over the crawl output instead."""
     table = synth.build_pages_table(n_pages, seed)
-    return rd.from_arrow(table).repartition(parallelism)
+    step = max(1, -(-table.num_rows // parallelism))
+    return rd.from_arrow([table.slice(i, step)
+                          for i in range(0, max(1, table.num_rows), step)])
 
 
 def parse_pages(
     pages,
     *,
     batch_size: int = 64,
-    concurrency=(1, 8),
     with_residue: bool = False,
     with_audit: bool = False,
     dictfiles_dir: str | None = None,
 ):
-    """pages Dataset → pairs Dataset (zero-copy Arrow batches; dictionaries
-    are actor state loaded once per actor)."""
+    """pages Dataset → parsed Dataset (zero-copy Arrow batches; dictionaries
+    load once per worker process)."""
     return pages.map_batches(
-        ParseProfiles,
-        fn_constructor_kwargs={
-            "dictfiles_dir": dictfiles_dir,
-            "with_residue": with_residue,
-            "with_audit": with_audit,
-        },
+        cached_parse_batch(dictfiles_dir, with_residue, with_audit=with_audit),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         num_cpus=1,
     )
 
@@ -50,12 +48,9 @@ def parse_pages(
 def pairs_pipeline(n_pages: int = 120, **kwargs):
     """The flagship: synthesize → parse → select the pairs columns
     (+ the audit side column when with_audit=True)."""
-    with_audit = kwargs.get("with_audit", False)
     ds = parse_pages(pages_dataset(n_pages), **kwargs)
-    cols = ["image_id", "bytes", "w", "h", "fmt", "caption", "phash", "status"]
-    if with_audit:
-        cols.append("audit")
-    return ds.select_columns(cols)
+    return ds.select_columns(
+        PAIRS_COLS + (["audit"] if kwargs.get("with_audit") else []))
 
 
 def write_pairs(ds, out_dir: str):

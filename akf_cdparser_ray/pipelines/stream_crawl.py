@@ -21,8 +21,9 @@ Shape (everything stays off the driver):
                        standing in for the wave number)
       deferred      → owning FrontierShard.defer(rows, epoch)  (re-eligible
                        next epoch, exactly like waves)
-      fetch → parse → pairs fragment (worker-side parquet write)
-      links         → owning FrontierShard.offer_stream(...)   (immediate
+      fetch → parse → pairs fragment → links   (stages/content.py — the
+                       same content body the wave mode runs)
+      link slices   → owning FrontierShard.offer_stream(...)   (immediate
                        enqueue, acked before the lease ends)
       counters      → Coordinator.end_lease()
 
@@ -113,11 +114,9 @@ import ray
 
 from ..sources import io as aio
 from ..stages.cached import cached_fetch_batch, cached_parse_batch
+from ..stages.content import run_content
 from ..stages.dedupe import ShardedSeenSet
 from ..stages.frontier import FRONTIER_COLS
-from ..stages.links import (
-    canonicalize_url, extract_links_batch, host_of, url_hash64,
-)
 from ..stages.politeness_stage import PolitenessShard, host_shard
 
 
@@ -392,11 +391,7 @@ class StreamWorker:
         compile) outside any timed window — the stream analogue of the
         wave bench's warm fleet. Touches no frontier/filter state."""
         url = "http://host0.example/1970/0.html"
-        batch = pa.table({"url_canon": [url], "depth": [0]})
-        fetched = self.fetch_fn(batch)
-        self.parse_fn(fetched.filter(
-            pa.array([s == "200" for s in
-                      fetched.column("fetch_status").to_pylist()])))
+        self.parse_fn(self.fetch_fn(pa.table({"url_canon": [url], "depth": [0]})))
         return 1
 
     # -- one lease ---------------------------------------------------------
@@ -408,8 +403,6 @@ class StreamWorker:
         defer RPC would open the window where a worker death after the
         defer but before completion reclaims the whole lease and
         double-queues the deferred subset)."""
-        import pyarrow.parquet as pq
-
         ctr = {k: 0 for k in _CTR_KEYS}
         ctr["dequeued"] = len(df)
         t_start = time.perf_counter()
@@ -448,54 +441,25 @@ class StreamWorker:
         batch = pa.Table.from_pandas(
             allowed[["url_canon", "depth"]].reset_index(drop=True),
             preserve_index=False)
-        fetched_b = self.fetch_fn(batch)
-        ok_mask = [s == "200" for s in
-                   fetched_b.column("fetch_status").to_pylist()]
-        ok_b = fetched_b.filter(pa.array(ok_mask))
-        ctr["fetched"] = int(sum(ok_mask))
-        ctr["http_404"] = int(len(ok_mask) - sum(ok_mask))
-        parsed_b = self.parse_fn(ok_b)
-        statuses = parsed_b.column("status").to_pylist()
-        ctr["parsed_ok"] = statuses.count("ok")
-        ctr["parse_err"] = statuses.count("error")
-        pairs_b = parsed_b.select(
-            ["image_id", "bytes", "w", "h", "fmt", "caption", "phash",
-             "status"])
-        if pairs_b.num_rows:
-            # token-named fragment (one per lease): worker-death recovery
-            # deletes exactly the reclaimed leases' fragments by name —
-            # the refetch rewrites them under new tokens (no dup, no loss)
-            os.makedirs(self.pairs_tmp, exist_ok=True)
-            pq.write_table(
-                pairs_b,
-                os.path.join(self.pairs_tmp,
-                             f"part-w{self.wid:04d}-s{seq:08d}.parquet"))
-            ctr["pairs_rows"] = pairs_b.num_rows
+        # token-named fragment (one per lease): worker-death recovery
+        # deletes exactly the reclaimed leases' fragments by name — the
+        # refetch rewrites them under new tokens (no dup, no loss)
+        content, us, slices = run_content(
+            batch, self.fetch_fn, self.parse_fn,
+            os.path.join(self.pairs_tmp,
+                         f"part-w{self.wid:04d}-s{seq:08d}.parquet"),
+            self.cfg.num_shards)
+        ctr.update(content)
+        ctr["t_work_us"] = us["fetch"] + us["parse"] + us["write"]
         t2 = time.perf_counter()
-        ctr["t_work_us"] = int((t2 - t1) * 1e6)
-        links_b = extract_links_batch(ok_b)
-        ctr["links"] = links_b.num_rows
-        if links_b.num_rows:
-            hashes = links_b.column("url_hash").to_numpy(zero_copy_only=False)
-            shard = (hashes % np.uint64(self.cfg.num_shards)).astype(np.int64)
-            order = np.argsort(shard, kind="stable")
-            sorted_b = links_b.take(pa.array(order))
-            canons = sorted_b.column("url_canon").to_pylist()
-            hosts = sorted_b.column("host").to_pylist()
-            depths = sorted_b.column("depth").to_pylist()
-            h_sorted = hashes[order]
-            s_sorted = shard[order]
-            uniq, starts = np.unique(s_sorted, return_index=True)
-            ends = np.append(starts[1:], len(s_sorted))
-            futs = [
-                self.shards[int(s)].offer_stream.remote(
-                    canons[st:en], h_sorted[st:en].tolist(), hosts[st:en],
-                    depths[st:en], epoch, self.wid)
-                for s, st, en in zip(uniq, starts, ends)
-            ]
-            # acked BEFORE the lease ends — the drain barrier's soundness
-            ctr["links_new"] = int(sum(ray.get(futs)))
-        ctr["t_offer_us"] = int((time.perf_counter() - t2) * 1e6)
+        futs = [
+            self.shards[s].offer_stream.remote(
+                canons, hashes, hosts, depths, epoch, self.wid)
+            for s, canons, hashes, hosts, depths in slices
+        ]
+        # acked BEFORE the lease ends — the drain barrier's soundness
+        ctr["links_new"] = int(sum(ray.get(futs)))
+        ctr["t_offer_us"] = us["links"] + int((time.perf_counter() - t2) * 1e6)
         return ctr, deferred_out
 
     def _do_checkpoint(self, seq: int) -> None:
@@ -699,33 +663,6 @@ class StreamCrawlJob:
         actor spawn + dictionary load from the timed crawl)."""
         ray.get([w.prime.remote() for w in self.workers])
 
-    def _seed(self) -> int:
-        rows = []
-        for url in self.cfg.seeds:
-            canon = canonicalize_url(url)
-            rows.append({
-                "url_canon": canon,
-                "url_hash": np.uint64(url_hash64(canon)),
-                "host": host_of(canon),
-                "priority": 100,
-                "depth": 0,
-                "discovered_at": 0,
-            })
-        df = pd.DataFrame(rows, columns=FRONTIER_COLS)
-        df = df.drop_duplicates("url_hash").reset_index(drop=True)
-        is_new = self.seen.check_and_add(
-            df["url_hash"].to_numpy(dtype=np.uint64))
-        df = df[is_new].reset_index(drop=True)
-        sid = (df["url_hash"].to_numpy(dtype=np.uint64)
-               % np.uint64(self.cfg.num_shards)).astype(np.int64)
-        acks = [
-            self.seen.shards[s].seed.remote(
-                df[sid == s].reset_index(drop=True))
-            for s in range(self.cfg.num_shards) if (sid == s).any()
-        ]
-        ray.get(acks)
-        return len(df)
-
     @staticmethod
     def _drop_stream_partitions(pairs_root: str, after_seq: int) -> None:
         """Roll back stream-final plus every stream-part beyond
@@ -882,7 +819,7 @@ class StreamCrawlJob:
                           ignore_errors=True)
             if os.path.isdir(pairs_root):
                 self._drop_stream_partitions(pairs_root, after_seq=-1)
-            n_seeds = self._seed()
+            n_seeds = self.seen.seed_urls(self.cfg.seeds)
         leases = self._supervise()
         ctrs = ray.get([c.counters.remote() for c in self.coords])
         ctr = {k: sum(c[k] for c in ctrs) for k in _CTR_KEYS}

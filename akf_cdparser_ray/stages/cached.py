@@ -7,9 +7,10 @@ so a lazily-built module-level singleton gives the same
 being ~3x faster end-to-end on this workload (measured: actor-pool chain
 ~730 pages/s vs fused task chain ~2200 pages/s at 32 CPUs).
 
-The actor-pool classes in ``parse_stage.py`` / ``fetch.py`` remain the right
-tool when the state is *mutable* (politeness buckets, seen-filters) or must
-be pinned (shard ownership); for read-only state, prefer these functions.
+Every library parse path (flagship, wave crawl, stream crawl) runs these
+functions; ``ParseProfiles`` / ``SyntheticFetcher`` are the cached objects,
+not actor pools. Actors are kept for state that is *mutable* (politeness
+buckets, seen-filters) or must be pinned (shard ownership).
 """
 
 from __future__ import annotations

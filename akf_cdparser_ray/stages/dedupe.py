@@ -33,6 +33,7 @@ import ray
 
 from ..state.filters import CuckooFilter, deserialize_filter
 from .frontier import FRONTIER_COLS, empty_frontier_table, sorted_frontier_table
+from .links import canonicalize_url, host_of, url_hash64
 
 
 def _sort_run(df: pd.DataFrame) -> pd.DataFrame:
@@ -747,6 +748,34 @@ class ShardedSeenSet:
         for idxs, fut in futures:
             out[idxs] = ray.get(fut)
         return out
+
+    def seed_urls(self, urls: list[str]) -> int:
+        """Canonicalize seed URLs, drop repeats and URLs the seen-set
+        already holds (seeds enter it at once: enqueue-once semantics),
+        and seed the rest into their owning shards at priority 100, depth
+        0. Returns the number of URLs seeded."""
+        rows = []
+        for url in urls:
+            canon = canonicalize_url(url)
+            rows.append({
+                "url_canon": canon,
+                "url_hash": np.uint64(url_hash64(canon)),
+                "host": host_of(canon),
+                "priority": 100,
+                "depth": 0,
+                "discovered_at": 0,
+            })
+        df = pd.DataFrame(rows, columns=FRONTIER_COLS)
+        df = df.drop_duplicates("url_hash").reset_index(drop=True)
+        df = df[self.check_and_add(
+            df["url_hash"].to_numpy(dtype=np.uint64))].reset_index(drop=True)
+        sid = (df["url_hash"].to_numpy(dtype=np.uint64)
+               % np.uint64(self.num_shards)).astype(np.int64)
+        ray.get([
+            self.shards[s].seed.remote(df[sid == s].reset_index(drop=True))
+            for s in range(self.num_shards) if (sid == s).any()
+        ])
+        return len(df)
 
     def total(self) -> int:
         return sum(ray.get([s.size.remote() for s in self.shards]))

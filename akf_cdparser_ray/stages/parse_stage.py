@@ -1,7 +1,7 @@
-"""The parse stage — ``map_batches`` actor pool (SURVEY.md §2.3 ST1-ST3).
+"""The parse stage (SURVEY.md §2.3 ST1-ST3).
 
-One callable class = one actor pool: the title/funct dictionaries load once
-per actor in ``__init__`` (the equivalent of the reference's module-scope
+One callable class: the title/funct dictionaries load once per instance in
+``__init__`` (the equivalent of the reference's module-scope
 load at ``lib/parser.js:33-34``); ``__call__`` parses a batch of pages into
 caption strings. Per-row try/except mirrors the reference's failed-file
 stack (``bin/akf-html2json:114-119``): a bad page becomes a ``status='error'``
@@ -22,8 +22,8 @@ from ..sources.synth import canonical_caption
 class ParseProfiles:
     """pages batch (PAGES_SCHEMA) → pairs batch (+ status/error columns).
 
-    Use as ``ds.map_batches(ParseProfiles, batch_format="pyarrow",
-    batch_size=64, concurrency=(min,max), num_cpus=1)``.
+    The library runs it through ``stages/cached.cached_parse_batch`` (one
+    instance per worker process, task-based ``map_batches``).
     """
 
     def __init__(

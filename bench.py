@@ -1,8 +1,8 @@
 """bench.py — headline throughput + per-query timings.
 
 Headline metric (BASELINE.json): fetched-and-parsed pages/sec through the
-crawl content path (URL frontier → synthetic fetch actor pool → dictionary
-parse actor pool → pairs), on a deterministic synthetic frontier.
+crawl content path (URL frontier → synthetic fetch → dictionary parse →
+pairs, fused task-based stages), on a deterministic synthetic frontier.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline seconds>, "unit": "sec",
@@ -52,11 +52,8 @@ def _count_batch(batch):
 
 
 def headline_pages_per_sec(num_cpus: int, n_pages: int) -> dict:
-    import ray
     import ray.data as rd
 
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__  # noqa: F401  (registers pickle-by-value)
     from akf_cdparser_ray.sources.synth import page_url_for_idx
     from akf_cdparser_ray.stages.cached import cached_fetch_batch, cached_parse_batch
     from akf_cdparser_ray.stages.links import canonicalize_url
@@ -278,14 +275,7 @@ def stats() -> None:
     import ray
     import ray.data as rd
 
-    repo = os.path.dirname(os.path.abspath(__file__))
-    os.environ["PYTHONPATH"] = repo + os.pathsep + os.environ.get("PYTHONPATH", "")
-    os.environ.setdefault("AKF_PICKLE_BY_VALUE", "0")
-    ray.data.DataContext.get_current().execution_options.preserve_order = True
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-             logging_level="ERROR")
-    sys.path.insert(0, repo)
-    import __ray_entry__  # noqa: F401
+    _start_ray()
     from akf_cdparser_ray.sources.synth import page_url_for_idx
     from akf_cdparser_ray.stages.cached import cached_fetch_batch, cached_parse_batch
     from akf_cdparser_ray.stages.links import canonicalize_url
@@ -306,7 +296,8 @@ def stats() -> None:
     ray.shutdown()
 
 
-def main() -> None:
+def _start_ray() -> None:
+    """The one session start of every bench entry point."""
     import ray
 
     # bench owns its Ray session and runs from the repo root: let workers
@@ -315,17 +306,18 @@ def main() -> None:
     repo = os.path.dirname(os.path.abspath(__file__))
     os.environ["PYTHONPATH"] = repo + os.pathsep + os.environ.get("PYTHONPATH", "")
     os.environ.setdefault("AKF_PICKLE_BY_VALUE", "0")
-
     # engine contract: deterministic block ordering (see conftest note)
     ray.data.DataContext.get_current().execution_options.preserve_order = True
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=NUM_CPUS,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
+    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
+             ignore_reinit_error=True, logging_level="ERROR")
+    sys.path.insert(0, repo)
+    import __ray_entry__  # noqa: F401  (log filters; by-value pickling is off)
+
+
+def main() -> None:
+    import ray
+
+    _start_ray()
     head = headline_pages_per_sec(NUM_CPUS, N_PAGES)
     crawl = crawl_urls_per_sec(NUM_CPUS)
     queries = run_queries(SF_DIR)
@@ -478,16 +470,7 @@ if __name__ == "__main__":
         if os.environ.get("GRAFT_BENCH_STREAM_ONLY"):
             import ray
 
-            repo = os.path.dirname(os.path.abspath(__file__))
-            os.environ["PYTHONPATH"] = repo + os.pathsep + os.environ.get("PYTHONPATH", "")
-            os.environ.setdefault("AKF_PICKLE_BY_VALUE", "0")
-            ray.data.DataContext.get_current().execution_options.preserve_order = True
-            ray.init(
-                address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-                ignore_reinit_error=True, logging_level="ERROR",
-            )
-            sys.path.insert(0, repo)
-            import __ray_entry__  # noqa: F401
+            _start_ray()
             res = _stream_crawl_once(60000)
             ray.shutdown()
             print(json.dumps(res))
@@ -495,14 +478,7 @@ if __name__ == "__main__":
         if os.environ.get("GRAFT_BENCH_HEADLINE_ONLY"):
             import ray
 
-            repo = os.path.dirname(os.path.abspath(__file__))
-            os.environ["PYTHONPATH"] = repo + os.pathsep + os.environ.get("PYTHONPATH", "")
-            os.environ.setdefault("AKF_PICKLE_BY_VALUE", "0")
-            ray.data.DataContext.get_current().execution_options.preserve_order = True
-            ray.init(
-                address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-                ignore_reinit_error=True, logging_level="ERROR",
-            )
+            _start_ray()
             head = headline_pages_per_sec(NUM_CPUS, N_PAGES)
             ray.shutdown()
             print(

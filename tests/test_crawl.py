@@ -126,8 +126,6 @@ def _mk_cfg(tmp_path, name, **overrides):
         dequeue_k=8,
         max_waves=3,
         budgets={"host0.example": {"per_wave": 6, "burst": 6}},
-        parse_concurrency=1,
-        fetch_concurrency=1,
     )
     base.update(overrides)
     return CrawlConfig(**base)

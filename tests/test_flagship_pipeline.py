@@ -10,7 +10,7 @@ from akf_cdparser_ray.sources import synth
 
 @pytest.mark.usefixtures("ray_session")
 def test_pairs_pipeline_end_to_end(tmp_path):
-    ds = flagship.pairs_pipeline(n_pages=30, batch_size=8, concurrency=2)
+    ds = flagship.pairs_pipeline(n_pages=30, batch_size=8)
     out = ds.take_all()
     assert len(out) == 30
     assert all(r["status"] == "ok" for r in out)
@@ -24,7 +24,7 @@ def test_pairs_pipeline_end_to_end(tmp_path):
 
     # write + read back (resumable parquet layout)
     outdir = str(tmp_path / "pairs")
-    flagship.write_pairs(flagship.pairs_pipeline(n_pages=12, concurrency=2), outdir)
+    flagship.write_pairs(flagship.pairs_pipeline(n_pages=12), outdir)
     import ray.data as rd
 
     back = rd.read_parquet(outdir)

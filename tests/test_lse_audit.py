@@ -76,7 +76,7 @@ def test_audit_and_sql_sinks(tmp_path):
     from akf_cdparser_ray.pipelines import flagship
     from akf_cdparser_ray.stages.audit import json2sql_batch, write_audit
 
-    pairs = flagship.pairs_pipeline(n_pages=6, concurrency=1, with_audit=True)
+    pairs = flagship.pairs_pipeline(n_pages=6, with_audit=True)
     out = str(tmp_path / "audit")
     write_audit(pairs, out)
     back = rd.read_parquet(out)
@@ -90,7 +90,7 @@ def test_audit_and_sql_sinks(tmp_path):
     assert entry["origin"] and not entry["origin"].startswith("{")  # raw line, not JSON
 
     sql_rows = (
-        flagship.pairs_pipeline(n_pages=4, concurrency=1)
+        flagship.pairs_pipeline(n_pages=4)
         .map_batches(json2sql_batch, batch_format="pyarrow")
         .take_all()
     )

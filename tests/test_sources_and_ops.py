@@ -71,7 +71,7 @@ def test_validate_profiles_stage():
     from akf_cdparser_ray.pipelines import flagship
     from akf_cdparser_ray.stages.parse_stage import ValidateProfiles
 
-    pairs = flagship.pairs_pipeline(n_pages=5, concurrency=1)
+    pairs = flagship.pairs_pipeline(n_pages=5)
     rows = pairs.map_batches(ValidateProfiles(), batch_format="pyarrow").take_all()
     # pages with a '*) Arbeitnehmervertreter' common funct legitimately fail
     # the schema's funct enum (schema.yml:20 allows only Vors./stellv. Vors.),
@@ -263,3 +263,12 @@ def test_logquiet_filter_drops_only_empty_schema_noise():
     assert not f.filter(rec(noise_arrow))
     assert f.filter(rec(real))
     assert f.filter(rec(other))
+
+    # Ray's unify_schemas fallback notice for metadata-carrying schemas
+    from akf_cdparser_ray.logquiet import _SchemaHashFilter
+
+    h = _SchemaHashFilter()
+    assert not h.filter(rec("Failed to hash the schemas (for deduplication): "
+                            "unhashable type: 'dict'"))
+    assert h.filter(rec("Failed to hash the schemas (for deduplication): "
+                        "unhashable type: 'list'"))
