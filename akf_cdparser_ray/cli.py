@@ -27,7 +27,7 @@ def _ensure_ray(num_cpus: int | None):
     # engine contract: deterministic block ordering (layout-sensitive
     # outputs; Ray's default preserve_order=False can reorder under load)
     ray.data.DataContext.get_current().execution_options.preserve_order = True
-    from .logquiet import silence_empty_block_schema_warnings
+    from .logquiet import silence_empty_block_schema_warnings, worker_runtime_env
 
     silence_empty_block_schema_warnings()
     if not ray.is_initialized():
@@ -37,6 +37,7 @@ def _ensure_ray(num_cpus: int | None):
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",
+            runtime_env=worker_runtime_env(),
         )
     return ray
 

@@ -12,6 +12,7 @@ carry metadata (``_SchemaHashFilter``)."""
 from __future__ import annotations
 
 import logging
+import sys
 
 _EMPTY_SCHEMA_MARKERS = (
     # empty pandas block schema
@@ -71,3 +72,14 @@ def silence_empty_block_schema_warnings() -> None:
         logger = logging.getLogger(name)
         if not any(isinstance(f, cls) for f in logger.filters):
             logger.addFilter(cls())
+
+
+def worker_runtime_env() -> dict:
+    """``ray.init(runtime_env=...)`` that installs the same filters in every
+    worker process: Ray Data logs these lines from its read, map and reduce
+    workers too, and Ray forwards worker logs to the main process. The
+    hook pickles by value, so a worker needs no import path to this package."""
+    import ray.cloudpickle as cp
+
+    cp.register_pickle_by_value(sys.modules[__name__])
+    return {"worker_process_setup_hook": silence_empty_block_schema_warnings}

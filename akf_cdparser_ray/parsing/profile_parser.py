@@ -180,17 +180,19 @@ class ProfileParser:
         self._compiled = [
             (re.compile(pat), fn) for pat, fn, disabled in self._parse_functions if not disabled
         ]
-        # dispatch prefilter: every enabled matcher requires one of these
-        # substrings in a matching line, so lines without any of them can
-        # skip the 30-pattern scan (pure optimization, no behavior change)
+        # dispatch prefilter: the alternation of the enabled matchers matches
+        # a line exactly when one of them does, so a line it misses skips the
+        # per-matcher scan (which still decides first-match-wins); joined
+        # bare, not as (?:...) groups, every branch starts with a literal
+        # and sre skips ahead on their first characters
         self._prefilter = re.compile(
-            "b>|ISIN|Wertpapier|Kennzahlen|AKF_PARSER_START"
-            "|Tätigkeitsgebiet|Ergebnisabführung|Leitung Kommunikation"
-        )
+            "|".join(pat for pat, _fn, disabled in self._parse_functions if not disabled))
 
     # ------------------------------------------------------------------
-    def parse(self, lines_str: str) -> dict:
-        """ref parser.js:1879-1906"""
+    def parse(self, lines_str: str, fulltext: bool = True) -> dict:
+        """ref parser.js:1879-1906; ``fulltext=False`` leaves out the
+        ``_fulltext`` key (the tag-stripped page, which only the coverage
+        and residue checks read) and changes nothing else."""
         lines = lines_str.split("\n")
         # JS indexOf returns -1 when </head> is missing, so the sentinel
         # lands at index 1 (ref parser.js:1881) — mirror that, including the
@@ -214,7 +216,8 @@ class ProfileParser:
         # does; only a pre-sentinel section match could ever differ)
         self._lastidx = 0
 
-        ret["_fulltext"] = _TAG_RE.sub("", _HEAD_RE.sub("", lines_str).replace("<br>", " "))
+        if fulltext:
+            ret["_fulltext"] = _TAG_RE.sub("", _HEAD_RE.sub("", lines_str).replace("<br>", " "))
 
         i = 0
         guard = 0

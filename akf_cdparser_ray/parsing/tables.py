@@ -12,6 +12,7 @@ elements that land in one recognized block parse as one grid; parser_tables.js:8
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .checkfiles import _JsArrayDict
@@ -58,7 +59,8 @@ def recognize_table_arrays(lines_with_tables: list[str]) -> dict:
 # T2: column-major table parse (cheerio-tableparser equivalent)
 # ---------------------------------------------------------------------------
 
-_TR_RE = re.compile(r"<tr[^>]*>(.*?)(?:</tr>|$)", re.IGNORECASE | re.DOTALL)
+_TR_OPEN_RE = re.compile(r"<tr[^>]*>", re.IGNORECASE)
+_TR_CLOSE_RE = re.compile(r"</tr>", re.IGNORECASE)
 _TD_RE = re.compile(r"<t[dh]([^>]*)>(.*?)</t[dh]>", re.IGNORECASE | re.DOTALL)
 _COLSPAN_RE = re.compile(r"colspan\s*=\s*\"?(\d+)", re.IGNORECASE)
 _ROWSPAN_RE = re.compile(r"rowspan\s*=\s*\"?(\d+)", re.IGNORECASE)
@@ -66,34 +68,54 @@ _STUECKELUNG_RE = re.compile("Stückelung", re.IGNORECASE)
 _STIMMRECHT_RE = re.compile("Stimmrecht", re.IGNORECASE)
 
 
+def _tr_rows(html: str):
+    """The rows ``<tr[^>]*>(.*?)(?:</tr>|$)`` (IGNORECASE, DOTALL) finds,
+    without the lazy scan: a row runs to the first ``</tr>`` after its tag,
+    or else to where ``$`` first matches (before a final newline)."""
+    tail = len(html) - 1 if html.endswith("\n") else len(html)
+    pos = 0
+    while (tag := _TR_OPEN_RE.search(html, pos)) is not None:
+        close = _TR_CLOSE_RE.search(html, tag.end())
+        if close is None:
+            yield html[tag.end():tail]
+            return
+        yield html[tag.end():close.start()]
+        pos = close.end()
+
+
+@functools.lru_cache(maxsize=512)
+def _spans(attrs: str) -> tuple[int, int]:
+    """``(colspan, rowspan)`` of a cell's attribute string, 1 when absent
+    (a page repeats a handful of attribute strings hundreds of times)."""
+    col = _COLSPAN_RE.search(attrs)
+    row = _ROWSPAN_RE.search(attrs)
+    return int(col.group(1)) if col else 1, int(row.group(1)) if row else 1
+
+
 def parse_html_table(html: str) -> list[list[str]]:
     """All <tr> rows of the fragment → column-major grid of inner-cell HTML."""
     columns: list[dict[int, str]] = []
     pending_rowspan: dict[int, tuple[int, str]] = {}  # col -> (rows_left, fill)
     row_idx = 0
-    for row_m in _TR_RE.finditer(html):
-        row_html = row_m.group(1)
+    for row_html in _tr_rows(html):
         cells = _TD_RE.findall(row_html)
         if not cells and not pending_rowspan:
             continue
         col = 0
-        # place rowspan fills first
-        for c in sorted(pending_rowspan):
-            left, fill = pending_rowspan[c]
-            while len(columns) <= c:
-                columns.append({})
-            columns[c][row_idx] = fill
-            pending_rowspan[c] = (left - 1, fill)
-        pending_rowspan = {c: v for c, v in pending_rowspan.items() if v[0] > 0}
+        if pending_rowspan:  # place rowspan fills first
+            for c in sorted(pending_rowspan):
+                left, fill = pending_rowspan[c]
+                while len(columns) <= c:
+                    columns.append({})
+                columns[c][row_idx] = fill
+                pending_rowspan[c] = (left - 1, fill)
+            pending_rowspan = {c: v for c, v in pending_rowspan.items() if v[0] > 0}
         for attrs, inner in cells:
             while col in pending_rowspan or (
                 col < len(columns) and row_idx in columns[col]
             ):
                 col += 1
-            m = _COLSPAN_RE.search(attrs)
-            colspan = int(m.group(1)) if m else 1
-            m = _ROWSPAN_RE.search(attrs)
-            rowspan = int(m.group(1)) if m else 1
+            colspan, rowspan = _spans(attrs)
             for k in range(colspan):
                 while len(columns) <= col:
                     columns.append({})

@@ -30,12 +30,10 @@ def encode_bmp(pixels: np.ndarray) -> bytes:
     header = struct.pack(
         "<2sIHHI", b"BM", 14 + 40 + img_size, 0, 0, 14 + 40
     ) + struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0, img_size, 2835, 2835, 0, 0)
-    rows = []
-    pad = b"\x00" * (row_size - w * 3)
-    bgr = pixels[:, :, ::-1]
-    for y in range(h - 1, -1, -1):
-        rows.append(bgr[y].tobytes() + pad)
-    return header + b"".join(rows)
+    # bottom-up BGR rows, zero-padded to 4 bytes, as one array
+    rows = np.zeros((h, row_size), dtype=np.uint8)
+    rows[:, : w * 3] = pixels[::-1, :, ::-1].reshape(h, w * 3)
+    return header + rows.tobytes()
 
 
 def decode_bmp(data: bytes) -> np.ndarray:
@@ -71,11 +69,12 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 def encode_png(pixels: np.ndarray) -> bytes:
     h, w, _ = pixels.shape
-    raw = b"".join(b"\x00" + pixels[y].tobytes() for y in range(h))
+    raw = np.zeros((h, w * 3 + 1), dtype=np.uint8)  # filter byte 0 per row
+    raw[:, 1:] = pixels.reshape(h, w * 3)
     return (
         b"\x89PNG\r\n\x1a\n"
         + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
-        + _png_chunk(b"IDAT", zlib.compress(raw, 6))
+        + _png_chunk(b"IDAT", zlib.compress(raw.tobytes(), 6))
         + _png_chunk(b"IEND", b"")
     )
 
@@ -166,19 +165,24 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 def phash64(pixels: np.ndarray) -> int:
     """8×8 block-mean hash → signed 64-bit int (matches ``phash:int64``)."""
-    gray = pixels.astype(np.float64).mean(axis=2)
+    # mean(axis=2) in its own summation order (any order is exact for
+    # integer pixels), as whole-array adds; RGB input only
+    r, g, b = np.moveaxis(pixels.astype(np.float64), 2, 0)
+    gray = (r + g + b) / 3
     h, w = gray.shape
-    ys = np.linspace(0, h, 9).astype(int)
-    xs = np.linspace(0, w, 9).astype(int)
+    # np.linspace(0, n, 9).astype(int): n / 8 is exact, so the floors are too
+    ys = [h * k // 8 for k in range(9)]
+    xs = [w * k // 8 for k in range(9)]
     blocks = np.empty((8, 8))
     for i in range(8):
+        band = gray[ys[i]: ys[i + 1]]
         for j in range(8):
-            blocks[i, j] = gray[ys[i]: ys[i + 1], xs[j]: xs[j + 1]].mean()
-    bits = (blocks > blocks.mean()).flatten()
-    val = 0
-    for b in bits:
-        val = (val << 1) | int(b)
-    return int(np.int64(np.uint64(val)))
+            # ndarray.mean's own arithmetic (same summation order, so the
+            # same bits) without its Python wrapper; an empty block is NaN
+            blk = band[:, xs[j]: xs[j + 1]]
+            blocks[i, j] = np.add.reduce(blk, axis=None) / blk.size
+    bits = blocks > blocks.mean()
+    return int(np.packbits(bits).view(">i8")[0])
 
 
 def hamming64(a: int, b: int) -> int:
@@ -197,10 +201,9 @@ def synth_pixels(seed: int, w: int, h: int) -> np.ndarray:
     base = h // 2 + (rng.standard_normal(w).cumsum() * 2).astype(int)
     base = np.clip(base, 2, h - 10)
     color = rng.integers(0, 160, size=3, dtype=np.int64)
-    for x in xs:
-        img[base[x], x] = color
-        if base[x] + 1 < h:
-            img[base[x] + 1, x] = color
+    img[base, xs] = color
+    below = base + 1 < h
+    img[base[below] + 1, xs[below]] = color
     # bars
     nbars = int(rng.integers(3, 8))
     for b in range(nbars):

@@ -58,7 +58,8 @@ class ParseProfiles:
                     self.parser.audit = AuditSink()
                 if self.with_lse:
                     self.parser.lse_lines = []
-                parsed = self.parser.parse(html)
+                # only the coverage ratio reads _fulltext; captions drop it
+                parsed = self.parser.parse(html, fulltext=self.with_residue)
                 captions.append(canonical_caption(parsed))
                 if self.with_audit:
                     audits.append(_json.dumps(

@@ -179,42 +179,49 @@ def pivot_counts(ds, row_key: str, col_key: str, col_values: list):
     ``col_values`` (plus ``other`` for everything else). The fixed
     domain is what makes pivot scale-safe — the schema is known before
     execution, so this is just the partial-then-final sum shape: each
-    batch crosstabs locally (vectorized pandas), one keyed shuffle
-    moves (rows x batches) partial rows, per-row-key merge sums.
-    SQL mirror: ``count(*) FILTER (WHERE col_key = v) AS v`` per value."""
+    batch sums one-hot count columns per row key (vectorized pandas), one
+    keyed shuffle moves (rows x batches) partial rows, per-row-key merge
+    sums. SQL mirror: ``count(*) FILTER (WHERE col_key = v) AS v`` per
+    value and ``FILTER (WHERE col_key NOT IN (...))`` for ``other``, so a
+    NULL ``row_key`` is a group of its own and a NULL ``col_key`` row
+    counts in no column (its group still appears).
+
+    Ray's sort shuffle cannot order None against strings, so a NULL
+    string key crosses it as ``""`` plus a ``_null`` flag column."""
     import pandas as pd
 
-    names = [str(v) for v in col_values]
+    counts = [str(v) for v in col_values] + ["other"]
+    keys = [row_key, "_null"]
 
-    def partial(batch: "pd.DataFrame") -> "pd.DataFrame":
-        if row_key not in batch.columns or not len(batch):
-            out = {row_key: pd.Series(dtype="object")}
-            for nm in names + ["other"]:
-                out[nm] = pd.Series(dtype="int64")
-            return pd.DataFrame(out)
-        ct = pd.crosstab(batch[row_key], batch[col_key])
-        out = pd.DataFrame({row_key: ct.index.to_numpy()})
-        known = []
-        for v, nm in zip(col_values, names):
-            out[nm] = (ct[v].to_numpy("int64") if v in ct.columns
-                       else 0)
-            if v in ct.columns:
-                known.append(v)
-        rest = [c for c in ct.columns if c not in col_values]
-        out["other"] = (ct[rest].sum(axis=1).to_numpy("int64")
-                        if rest else 0)
-        return out
-
-    def merge(g: "pd.DataFrame") -> "pd.DataFrame":
-        if row_key not in g.columns or not len(g):
-            out = {row_key: pd.Series(dtype="object")}
-            for nm in names + ["other"]:
-                out[nm] = pd.Series(dtype="int64")
-            return pd.DataFrame(out)
-        s = g.groupby(row_key, as_index=False)[names + ["other"]].sum()
-        for nm in names + ["other"]:
+    def sums(g: "pd.DataFrame") -> "pd.DataFrame":
+        s = g.groupby(keys, as_index=False, dropna=False)[counts].sum()
+        for nm in counts:
             s[nm] = s[nm].astype("int64")
         return s
 
+    def empty(cols: list) -> "pd.DataFrame":
+        return pd.DataFrame({nm: pd.Series(dtype="int64" if nm in counts else "object")
+                             for nm in cols})
+
+    def partial(batch: "pd.DataFrame") -> "pd.DataFrame":
+        if row_key not in batch.columns or not len(batch):
+            return empty(keys + counts)
+        key, col = batch[row_key], batch[col_key]
+        null = key.isna()
+        out = pd.DataFrame({
+            row_key: key.mask(null, "") if key.dtype == object else key,
+            "_null": null.to_numpy("int8")})
+        for v, nm in zip(col_values, counts):
+            out[nm] = (col == v).to_numpy("int64")
+        out["other"] = (col.notna() & ~col.isin(col_values)).to_numpy("int64")
+        return sums(out)
+
+    def merge(g: "pd.DataFrame") -> "pd.DataFrame":
+        if row_key not in g.columns or not len(g):
+            return empty([row_key] + counts)
+        s = sums(g)
+        s[row_key] = s[row_key].mask(s["_null"] == 1, None)
+        return s.drop(columns="_null")
+
     return (ds.map_batches(partial, batch_format="pandas")
-            .groupby(row_key).map_groups(merge, batch_format="pandas"))
+            .groupby(keys).map_groups(merge, batch_format="pandas"))

@@ -308,9 +308,12 @@ def _start_ray() -> None:
     os.environ.setdefault("AKF_PICKLE_BY_VALUE", "0")
     # engine contract: deterministic block ordering (see conftest note)
     ray.data.DataContext.get_current().execution_options.preserve_order = True
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
     sys.path.insert(0, repo)
+    from akf_cdparser_ray.logquiet import worker_runtime_env
+
+    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
+             ignore_reinit_error=True, logging_level="ERROR",
+             runtime_env=worker_runtime_env())
     import __ray_entry__  # noqa: F401  (log filters; by-value pickling is off)
 
 

@@ -17,7 +17,9 @@ def ray_session():
     # load — it usually doesn't, which hid this until a loaded full-suite
     # run flaked test_spill_dataset_reproduces_blocks.
     ray.data.DataContext.get_current().execution_options.preserve_order = True
-    from akf_cdparser_ray.logquiet import silence_empty_block_schema_warnings
+    from akf_cdparser_ray.logquiet import (
+        silence_empty_block_schema_warnings, worker_runtime_env,
+    )
 
     silence_empty_block_schema_warnings()
     if not ray.is_initialized():
@@ -27,6 +29,7 @@ def ray_session():
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",
+            runtime_env=worker_runtime_env(),
         )
     yield
     ray.shutdown()

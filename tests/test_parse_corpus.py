@@ -14,6 +14,8 @@ from akf_cdparser_ray.parsing import checkfiles
 from akf_cdparser_ray.parsing.checkfiles import render_checkfiles
 from akf_cdparser_ray.parsing.dictionaries import get_default
 from akf_cdparser_ray.parsing.profile_parser import ProfileParser
+from akf_cdparser_ray.sources import synth
+from akf_cdparser_ray.stages.parse_stage import ParseProfiles
 from tools import parse_corpus as pc
 
 
@@ -70,3 +72,52 @@ def test_no_js_stringify_without_audit(corpus, monkeypatch):
             moved.append(i)
     assert calls[0] > 0
     assert moved == [], f"audit rows moved on pages {moved}"
+
+
+def test_fetch_matches_pins():
+    """SyntheticFetcher rows (html, image bytes, w, h, fmt, phash) per URL."""
+    doc = pc.load_pins()
+    pin = doc["fetch_pins"]
+    got = pc.fetch_digests(pin["corpus"], doc["clean_idx"],
+                           pin["content_seed"], pin["content_idx"])
+    assert len(got) == len(pin["pages"])
+    assert [i for i, (a, b) in enumerate(zip(got, pin["pages"])) if a != b] == []
+
+
+def test_lse_grids_match_pins(corpus):
+    """The ungrouped and grouped LSE cell grids over the corpus's GuV lines."""
+    pages, _pins, parser = corpus
+    want = pc.load_pins()["lse_pins"][parser.dicts.fingerprint]
+    assert pc.lse_digests(pc.lse_lines(parser, pages)) == want
+
+
+def test_caption_path_drops_only_fulltext(corpus):
+    """``parse(fulltext=False)``, which the caption path runs, is the full
+    parse output minus ``_fulltext`` (same keys in the same order), and
+    ``ParseProfiles`` captions are the captions of the full output."""
+    pages, _pins, parser = corpus
+    moved, want = [], []
+    for i, html in enumerate(pages):
+        full = pc.parse_record(parser, html)["parsed"]
+        if full is None:
+            want.append(None)
+            continue
+        slim = parser.parse(html, fulltext=False)
+        if "_fulltext" not in full or list(slim.items()) != [
+                kv for kv in full.items() if kv[0] != "_fulltext"]:
+            moved.append(i)
+        try:
+            want.append(synth.canonical_caption(full))
+        except TypeError:  # mixed key types: ParseProfiles' error row
+            want.append(None)
+    assert moved == []
+    got = ParseProfiles()(pc.pages_batch(pages)).column("caption").to_pylist()
+    assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
+
+def test_coverage_matches_pins(corpus):
+    """``ParseProfiles(with_residue=True)`` still builds ``_fulltext`` for
+    the coverage ratio, which keeps its pinned values."""
+    pages, _pins, parser = corpus
+    want = pc.load_pins()["coverage_pins"][parser.dicts.fingerprint]
+    assert pc.coverage_values(pages) == want

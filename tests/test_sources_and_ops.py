@@ -272,3 +272,22 @@ def test_logquiet_filter_drops_only_empty_schema_noise():
                             "unhashable type: 'dict'"))
     assert h.filter(rec("Failed to hash the schemas (for deduplication): "
                         "unhashable type: 'list'"))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_logquiet_filters_installed_in_worker_processes():
+    """The session's worker setup hook installs the same filters in every
+    worker process, which logs the same noise as the main process."""
+    import ray
+
+    from akf_cdparser_ray.logquiet import _FILTERS
+
+    @ray.remote
+    def installed(names):
+        import logging
+
+        return [sorted(type(f).__name__ for f in logging.getLogger(n).filters)
+                for n in names]
+
+    names = [name for name, _cls in _FILTERS]
+    assert ray.get(installed.remote(names)) == [[cls.__name__] for _name, cls in _FILTERS]

@@ -250,3 +250,30 @@ def test_pivot_counts_layout_and_other_bucket():
         assert row["other"] == int(ct.loc[row["r"]].get(4, 0)
                                    + ct.loc[row["r"]].get(5, 0))
     assert int(outs[0][["0", "1", "2", "3", "other"]].sum().sum()) == 400
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_pivot_counts_null_keys_match_sql():
+    """A NULL row key is its own group; a NULL column key counts in no
+    column, not even ``other`` (``NULL NOT IN (...)`` is NULL in SQL), but
+    its row key's group still appears — as the DuckDB mirror has it."""
+    import ray.data as rd
+
+    duckdb = pytest.importorskip("duckdb")
+    from akf_cdparser_ray.stages.relational import pivot_counts
+
+    df = pd.DataFrame({"r": ["a", None, "a", "b", None, "z", "a", None],
+                       "c": [0, 1, np.nan, 4, np.nan, np.nan, 5, 0]})
+    want = duckdb.sql("""
+        SELECT r, count(*) FILTER (WHERE c = 0) AS "0",
+               count(*) FILTER (WHERE c = 1) AS "1",
+               count(*) FILTER (WHERE c NOT IN (0, 1)) AS other
+        FROM df GROUP BY r ORDER BY r NULLS LAST""").df()
+    for n in (1, 3):
+        got = (pivot_counts(rd.from_pandas(_chunks(df, n)), "r", "c", [0, 1])
+               .to_pandas().sort_values("r", na_position="last")
+               .reset_index(drop=True))
+        assert got["r"].tolist()[:-1] == want["r"].tolist()[:-1] == ["a", "b", "z"]
+        assert pd.isna(got["r"].iloc[-1]) and pd.isna(want["r"].iloc[-1])
+        for col in ("0", "1", "other"):
+            assert got[col].tolist() == want[col].astype("int64").tolist(), (n, col)

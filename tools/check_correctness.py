@@ -43,10 +43,13 @@ def value_hash(df: pd.DataFrame) -> str:
 def main(sf_dir: str) -> int:
     import ray
 
+    from akf_cdparser_ray.logquiet import worker_runtime_env
+
     if not ray.is_initialized():
         ray.init(
             address="local", num_cpus=8, include_dashboard=False,
             ignore_reinit_error=True, logging_level="ERROR",
+            runtime_env=worker_runtime_env(),
         )
     import __ray_entry__ as entrymod
 

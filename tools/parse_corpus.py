@@ -9,13 +9,28 @@ About 300 pages: clean ``sources/synth.py`` pages plus
 - ``audit``: the checkfile audit rows (``ProfileParser(audit=AuditSink())``);
 - ``checkfiles``: the rendered checkfile blobs (``render_checkfiles``).
 
-Pins are keyed by the dictionary fingerprint, because the title and
-function dictionaries change the parse output. This is NOT a parity proof
-against ``lib/parser.js`` (tests/test_reference_parity.py and
-tools/fuzz_parity.py are); it only proves that a change kept the output.
+Beside them, over the same pages:
 
-Usage: ``python tools/parse_corpus.py`` re-pins the current fingerprint's
-digests. Re-pin only when the output changed on purpose, and say why.
+- ``lse_pins``: the sha256 of the ungrouped and grouped
+  ``stages/lse.render_cells`` grids built from the GuV line arrays the
+  parser captures (``lse_lines``), with zumstein on and off;
+- ``coverage_pins``: the ``ParseProfiles(with_residue=True)`` coverage
+  value of every page (it reads the parse output's ``_fulltext``).
+
+Parse, LSE and coverage pins are keyed by the dictionary fingerprint,
+because the title and function dictionaries change the parse output. This
+is NOT a parity proof against ``lib/parser.js``
+(tests/test_reference_parity.py and tools/fuzz_parity.py are); it only
+proves that a change kept the output.
+
+``fetch_pins`` are dictionary-independent: one sha256 per URL of the
+``SyntheticFetcher`` row (``html``, image ``bytes``, ``w``, ``h``, ``fmt``,
+``phash`` and the rest), for the clean corpus indices and a sample of
+content-benchmark-sized corpus URLs.
+
+Usage: ``python tools/parse_corpus.py`` re-pins the fetch digests and the
+current fingerprint's digests. Re-pin only when the output changed on
+purpose, and say why.
 """
 
 from __future__ import annotations
@@ -30,15 +45,24 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO not in sys.path:
     sys.path.insert(0, REPO)
 
+import pyarrow as pa  # noqa: E402
+
 from akf_cdparser_ray.parsing.checkfiles import AuditSink, render_checkfiles  # noqa: E402
 from akf_cdparser_ray.parsing.dictionaries import get_default  # noqa: E402
 from akf_cdparser_ray.parsing.profile_parser import ProfileParser  # noqa: E402
 from akf_cdparser_ray.sources import synth  # noqa: E402
+from akf_cdparser_ray.stages import lse  # noqa: E402
+from akf_cdparser_ray.stages.fetch import SyntheticFetcher  # noqa: E402
+from akf_cdparser_ray.stages.links import canonicalize_url  # noqa: E402
+from akf_cdparser_ray.stages.parse_stage import ParseProfiles  # noqa: E402
 from tools.fuzz_parity import mutate  # noqa: E402
 
 PINS_PATH = os.path.join(REPO, "tests", "parse_corpus_pins.json")
 CLEAN_IDX = list(range(100))              # synth.gen_profile(idx)
 MUTATION_SEEDS = list(range(1000, 1200))  # random.Random(seed) → idx + mutate
+FETCH_CORPUS = 20000   # SyntheticFetcher corpus size (the content benchmark's)
+FETCH_CONTENT_SEED = 1  # content seed of the sampled URLs (CLEAN_IDX use synth.SEED)
+FETCH_CONTENT_IDX = sorted(random.Random("fetch-pins").sample(range(FETCH_CORPUS), 200))
 
 
 def corpus_pages(clean_idx: list[int], mutation_seeds: list[int]) -> list[str]:
@@ -78,6 +102,58 @@ def page_digests(parser: ProfileParser, html: str) -> dict:
             "audit": sha(rows), "checkfiles": sha(sorted(render_checkfiles(rows).items()))}
 
 
+def fetch_digests(corpus: int, clean_idx: list[int], content_seed: int,
+                  content_idx: list[int]) -> list[str]:
+    """One digest per URL of the fetched row; image bytes enter as hex."""
+    out = []
+    for seed, idx in ((synth.SEED, clean_idx), (content_seed, content_idx)):
+        urls = [canonicalize_url(synth.page_url_for_idx(i)) for i in idx]
+        rows = SyntheticFetcher(corpus, seed)(
+            pa.table({"url_canon": urls, "depth": [0] * len(urls)})).to_pylist()
+        out += [sha({k: v.hex() if isinstance(v, bytes) else v
+                     for k, v in row.items()}) for row in rows]
+    return out
+
+
+def lse_lines(parser: ProfileParser, pages: list[str]) -> list[str]:
+    """The GuV lines captured while parsing ``pages`` in order, as the
+    ``--lse`` report feeds them (a failed page keeps its earlier arrays)."""
+    lines: list[str] = []
+    for html in pages:
+        parser.lse_lines = []
+        try:
+            parser.parse(html)
+        except Exception:
+            pass
+        for arr in parser.lse_lines:
+            lines.extend(arr)
+        parser.lse_lines = None
+    return lines
+
+
+def lse_digests(lines: list[str]) -> dict:
+    """sha256 of the ungrouped and grouped cell grids, zumstein off and on."""
+    out = {}
+    for name, zumstein in (("plain", False), ("zumstein", True)):
+        sectors = lse.build_sectors_holder(lines, zumstein=zumstein)
+        ungrouped = sha(lse.render_cells(sectors))  # before do_grouping mutates
+        out[name] = {"ungrouped": ungrouped,
+                     "grouped": sha(lse.render_cells(lse.do_grouping(sectors)))}
+    return out
+
+
+def pages_batch(pages: list[str]) -> pa.Table:
+    """``pages`` as a parse-stage input batch (no image payload)."""
+    empty = {k: [None] * len(pages) for k in ("image_id", "bytes", "w", "h", "fmt", "phash")}
+    return pa.table({**empty, "html": pages})
+
+
+def coverage_values(pages: list[str]) -> list[float]:
+    """``ParseProfiles(with_residue=True)``'s coverage column (0.0 for a
+    page whose parse or caption failed)."""
+    return ParseProfiles(with_residue=True)(pages_batch(pages)).column("coverage").to_pylist()
+
+
 def load_pins() -> dict:
     with open(PINS_PATH, encoding="utf-8") as f:
         return json.load(f)
@@ -86,23 +162,31 @@ def load_pins() -> dict:
 def main() -> None:
     dicts = get_default()
     parser = ProfileParser(dicts)
-    digests = [page_digests(parser, html)
-               for html in corpus_pages(CLEAN_IDX, MUTATION_SEEDS)]
+    pages = corpus_pages(CLEAN_IDX, MUTATION_SEEDS)
+    digests = [page_digests(parser, html) for html in pages]
     bad = [i for i, d in enumerate(digests) if d["out"] != d["out_audit_on"]]
     if bad:
         raise SystemExit(f"parse output differs with audit on/off on pages {bad[:10]}")
-    pins = load_pins()["pins"] if os.path.exists(PINS_PATH) else {}
-    pins[dicts.fingerprint] = {
+    doc = load_pins() if os.path.exists(PINS_PATH) else {}
+    fp = dicts.fingerprint
+    doc.setdefault("pins", {})[fp] = {
         "source": dicts.source,
         "pages": [[d["out"], d["audit"], d["checkfiles"]] for d in digests],
     }
+    doc.setdefault("lse_pins", {})[fp] = lse_digests(lse_lines(parser, pages))
+    doc.setdefault("coverage_pins", {})[fp] = coverage_values(pages)
+    doc["fetch_pins"] = {
+        "corpus": FETCH_CORPUS, "content_seed": FETCH_CONTENT_SEED,
+        "content_idx": FETCH_CONTENT_IDX,
+        "pages": fetch_digests(FETCH_CORPUS, CLEAN_IDX, FETCH_CONTENT_SEED, FETCH_CONTENT_IDX),
+    }
+    doc.update(clean_idx=CLEAN_IDX, mutation_seeds=MUTATION_SEEDS)
     with open(PINS_PATH, "w", encoding="utf-8") as f:
-        json.dump({"clean_idx": CLEAN_IDX, "mutation_seeds": MUTATION_SEEDS,
-                   "pins": pins}, f, indent=1, sort_keys=True)
+        json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
     errors = sum(d["status"] != "ok" for d in digests)
     print(f"pinned {len(digests)} pages ({errors} failed) for "
-          f"{dicts.source} {dicts.fingerprint[:12]}")
+          f"{dicts.source} {fp[:12]}; {len(doc['fetch_pins']['pages'])} fetch pins")
 
 
 if __name__ == "__main__":
