@@ -1273,8 +1273,9 @@ def q_global_ntile(sf_dir: str):
 
 def q_editdist_pairs(sf_dir: str):
     """Exact edit-distance similarity self-join on 32-char doc prefixes
-    (PassJoin pigeonhole blocking -> one keyed shuffle -> vectorized
-    byte-DP verify -> pair dedup; stages/editdist.edit_distance_pairs).
+    (PassJoin pigeonhole blocking -> one sized shard exchange ->
+    vectorized byte-DP verify -> pair dedup on the driver;
+    stages/editdist.edit_distance_pairs).
     Byte-level distance matches DuckDB's levenshtein exactly."""
     from akf_cdparser_ray.stages.editdist import edit_distance_pairs
 
@@ -1351,7 +1352,7 @@ def q_global_rank(sf_dir: str):
     from akf_cdparser_ray.stages.export import global_rank
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    return global_rank(ds, col="n_chars", key="doc_id", num_shards=8)
+    return global_rank(ds, col="n_chars", key="doc_id")
 
 
 def q_triangles(sf_dir: str):

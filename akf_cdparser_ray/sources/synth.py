@@ -719,10 +719,30 @@ def build_pages_table(n: int, seed: int = SEED, with_links: bool = True) -> pa.T
     return pa.table(cols, schema=PAGES_SCHEMA)
 
 
+def _key_order(k):
+    return (0, k) if isinstance(k, (int, float)) else (1, str(k))
+
+
+def _ordered(v):
+    """``v`` with every dict's keys in ``sort_keys`` order, extended to
+    dicts mixing number and string keys: numbers first, ascending, then
+    the rest by their string form."""
+    if isinstance(v, dict):
+        return {k: _ordered(v[k]) for k in sorted(v, key=_key_order)}
+    if isinstance(v, (list, tuple)):
+        return [_ordered(x) for x in v]
+    return v
+
+
 def canonical_caption(parsed: dict) -> str:
     """Canonical JSON (sorted keys, no fulltext) — the caption string."""
     slim = {k: v for k, v in parsed.items() if k != "_fulltext"}
-    return json.dumps(slim, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(slim, ensure_ascii=False, sort_keys=True,
+                          separators=(",", ":"))
+    except TypeError:  # a dict mixes int and str keys: sort_keys can't
+        return json.dumps(_ordered(slim), ensure_ascii=False,
+                          separators=(",", ":"))
 
 
 def build_pairs_table(pages: pa.Table, parser=None) -> pa.Table:

@@ -19,7 +19,39 @@ so the oracle comparison is exact — no float rounding anywhere.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+
+from .exchange import shard_count
+
+
+def _key_hash(vals: np.ndarray) -> np.ndarray:
+    """uint64 hash of join keys, equal for equal numbers across dtypes:
+    pandas merge matches int64 3 with float64 3.0, so every integral
+    value in int64 range hashes as that int64, the rest as float64. A
+    float64 cast of every key would merge distinct int64 keys above
+    2**53 into shared buckets."""
+    kind = vals.dtype.kind
+    if kind == "i":
+        return pd.util.hash_array(vals.astype(np.int64, copy=False))
+    if kind == "u":
+        whole = vals < np.uint64(1 << 63)
+    elif kind == "f":
+        whole = ((vals == np.floor(vals)) & (vals >= -2.0 ** 63)
+                 & (vals < 2.0 ** 63))
+    else:
+        return pd.util.hash_array(vals)
+    h = pd.util.hash_array(vals.astype(np.float64))
+    h[whole] = pd.util.hash_array(vals[whole].astype(np.int64))
+    return h
+
+
+# Rows per block of the all-pairs join. A block-pair task does rows²
+# set intersections, so its cost grows with the square of the block:
+# 1,024 rows is up to ~1 M intersections per task, while a linear
+# exchange's ROWS_PER_SHARD would put a whole 5,000-doc corpus in one
+# quadratic task on one CPU.
+ROWS_PER_BLOCK = 1024
 
 
 def _shingle_project(batch: pd.DataFrame, n: int) -> pd.DataFrame:
@@ -40,15 +72,21 @@ def _shingle_project(batch: pd.DataFrame, n: int) -> pd.DataFrame:
 
 
 def ngram_jaccard_pairs(docs_ds, *, threshold_pct: int = 50, n: int = 3,
-                        num_blocks: int = 8) -> pd.DataFrame:
+                        num_blocks: int | None = None) -> pd.DataFrame:
     """Exact all-pairs n-gram Jaccard near-dup: (doc_a, doc_b, n_inter,
-    n_union) for every pair with n_inter·100 ≥ threshold_pct·n_union."""
+    n_union) for every pair with n_inter·100 ≥ threshold_pct·n_union.
+    ``num_blocks=None`` sizes B from the projected row count,
+    ``ceil(rows / ROWS_PER_BLOCK)`` up to 8."""
     import ray
     import ray.data as rd
 
     sh = docs_ds.map_batches(
         _shingle_project, fn_kwargs={"n": n}, batch_format="pandas"
-    ).repartition(num_blocks).materialize()  # B blocks → B·(B+1)/2 compare tasks
+    ).materialize()
+    if num_blocks is None:
+        num_blocks = shard_count(sh.count(), cap=8, per_shard=ROWS_PER_BLOCK)
+    if sh.num_blocks() != num_blocks:  # B blocks → B·(B+1)/2 compare tasks
+        sh = sh.repartition(num_blocks).materialize()
     refs = sh.to_arrow_refs()  # blocks stay in the object store
     nb = len(refs)
     idx_pairs = [{"i": i, "j": j} for i in range(nb) for j in range(i, nb)]
@@ -97,6 +135,8 @@ def ngram_jaccard_pairs(docs_ds, *, threshold_pct: int = 50, n: int = 3,
         .map_batches(compare, batch_format="pandas", batch_size=1, num_cpus=1)
         .to_pandas()  # verified pairs only — output-sized
     )
+    if not len(out.columns):  # no pair passed: all-empty blocks lose columns
+        out = compare(pd.DataFrame({"i": [], "j": []}))
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -122,9 +162,9 @@ def shuffle_hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
                       how: str = "inner"):
     """Big-×-big equi-join: co-partition BOTH sides on ``hash(key) %
     num_buckets`` (one explicit all-to-all; pandas' deterministic siphash so
-    integer-correlated keys don't skew buckets; numeric keys are normalized
-    to float64 before hashing so an int64 3 and a float64 3.0 — which pandas
-    merge treats as equal — land in the same bucket), then a local pandas
+    integer-correlated keys don't skew buckets; integral float keys hash as
+    int64 so an int64 3 and a float64 3.0 — which pandas merge treats as
+    equal — land in the same bucket, see ``_key_hash``), then a local pandas
     hash join inside each bucket group. SQL semantics: null keys never
     match (dropped at tag time). Pass ``left_cols``/``right_cols``
     explicitly to avoid an eager ``schema()`` call on lazy upstream plans
@@ -153,12 +193,7 @@ def shuffle_hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
         right_cols = list(right_ds.schema().names)
 
     def _bucket_of(col: pd.Series) -> pd.Series:
-        vals = col.to_numpy()
-        if col.dtype.kind in "iuf":
-            # float64 is exact for ints < 2^53; wider ints can only COLLIDE
-            # buckets (merge still exact), never split a matching pair
-            vals = vals.astype("float64")
-        return (pd.util.hash_array(vals) % num_buckets).astype("int64")
+        return (_key_hash(col.to_numpy()) % num_buckets).astype("int64")
 
     def tag(side: int, key: str):
         keep_nulls = how == "outer" or (how == "left" and side == 0)
@@ -226,9 +261,7 @@ def salted_shuffle_join(left_ds, right_ds, *, left_key: str,
     total = num_buckets * salt
 
     def _base_bucket(vals: np.ndarray) -> np.ndarray:
-        if vals.dtype.kind in "iuf":
-            vals = vals.astype("float64")
-        return (pd.util.hash_array(vals) % num_buckets).astype("int64")
+        return (_key_hash(vals) % num_buckets).astype("int64")
 
     def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch[batch[left_key].notna()]

@@ -15,12 +15,14 @@ every candidate is then verified by an exact Levenshtein kernel.
 Distribution shape (Ray-Data-first):
 - index + probe entries are a ``flat_map``-style per-batch expansion
   (O(tau^2) short keys per string — no quadratic blow-up);
-- ONE keyed shuffle co-locates each (length, segment-slot, segment) bucket;
-  candidate pairs are generated bucket-locally;
+- ONE two-hop ``exchange`` (S sized from the entry count) co-locates
+  each (length, segment-slot, segment) bucket; each shard's merge task
+  generates its candidate pairs and verifies them;
 - verification is a vectorized byte-level DP over the pair axis
   (O(P^2) numpy ops of width n_pairs, never a Python loop over pairs),
   byte-level to match DuckDB's byte-based ``levenshtein`` exactly;
-- a second tiny shuffle dedups (a, b) pairs found via multiple buckets.
+- the driver, which concatenates the verified pairs anyway, drops (a, b)
+  pairs found in buckets of more than one shard.
 
 Strings whose key is shorter than 2*tau+1 bytes can't all be segment-
 blocked (segments would be empty); they route to one "short" bucket and
@@ -31,8 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray
 
-from akf_cdparser_ray.logquiet import silence_empty_block_schema_warnings
+from .exchange import exchange, sized
 
 
 def _seg_bounds(length: int, tau: int) -> list[tuple[int, int]]:
@@ -89,7 +92,7 @@ def lev_batch(pa_bytes: list[bytes], pb_bytes: list[bytes]) -> np.ndarray:
 def edit_distance_pairs(ds, key: str = "doc_id", text_col: str = "text",
                         prefix_len: int = 32, tau: int = 2,
                         bucket_cap: int = 10_000,
-                        num_shards: int = 64) -> pd.DataFrame:
+                        num_shards: int | None = None) -> pd.DataFrame:
     """All (a, b, dist) with a < b and byte-Levenshtein(prefix_a,
     prefix_b) <= tau, where prefix = first ``prefix_len`` CHARACTERS of
     ``text_col`` encoded UTF-8 (character slice + byte distance is
@@ -99,7 +102,9 @@ def edit_distance_pairs(ds, key: str = "doc_id", text_col: str = "text",
     ``bucket_cap`` guards against a degenerate segment shared by huge
     populations (all-pairs inside one bucket): a bucket larger than the
     cap raises rather than silently scanning quadratically — the same
-    contract as minhash_lsh_pairs' banded cap."""
+    contract as minhash_lsh_pairs' banded cap. ``num_shards=None`` sizes
+    the bucket exchange from the index+probe entry count, up to 64
+    (``exchange.sized``); an int pins it."""
 
     def expand(batch: pd.DataFrame) -> pd.DataFrame:
         bks, ids, ps, roles = [], [], [], []
@@ -132,29 +137,17 @@ def edit_distance_pairs(ds, key: str = "doc_id", text_col: str = "text",
                                     f"{l}:{i}:{p[s0:s0 + ln].hex()}")
                                 ids.append(kid); ps.append(ph)
                                 roles.append("p")
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "bk": pd.Series(bks, dtype="object"),
             key: pd.Series(ids, dtype="int64"),
             "p": pd.Series(ps, dtype="object"),
             "role": pd.Series(roles, dtype="object")})
-        # bucket keys are near-unique, and Ray's groupby walks groups in
-        # PYTHON — route buckets to a bounded shard count instead and do
-        # the per-bucket work with ONE vectorized merge per shard (the
-        # substring_dedup lesson; measured 57s -> 2s there)
-        out["shard"] = (pd.util.hash_array(
-            out["bk"].to_numpy(dtype=object)) % num_shards).astype("int64")
-        return out
+
+    empty = pd.DataFrame({"a": pd.Series(dtype="int64"),
+                          "b": pd.Series(dtype="int64"),
+                          "dist": pd.Series(dtype="int64")})
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # most shards yield few pairs: quiet the per-worker empty-column
-        # sizing warning (idempotent; workers don't run session entry points)
-        silence_empty_block_schema_warnings()
-        empty = pd.DataFrame({"a": pd.Series(dtype="int64"),
-                              "b": pd.Series(dtype="int64"),
-                              "pa": pd.Series(dtype="object"),
-                              "pb": pd.Series(dtype="object")})
-        if "bk" not in g.columns or not len(g):
-            return empty
         sizes = g["bk"].value_counts()
         if int(sizes.iloc[0]) > bucket_cap:
             raise RuntimeError(
@@ -164,12 +157,8 @@ def edit_distance_pairs(ds, key: str = "doc_id", text_col: str = "text",
                 "lengthen the prefix")
         idx = g[g["role"] == "i"][["bk", key, "p"]]
         prb = g[g["role"] == "p"][["bk", key, "p"]]
-        if not len(idx) or not len(prb):
-            return empty
         # ALL buckets of the shard in one C-speed hash join
         m = idx.merge(prb, on="bk", suffixes=("_a", "_b"))
-        if not len(m):
-            return empty
         ida = m[f"{key}_a"].to_numpy()
         idb = m[f"{key}_b"].to_numpy()
         la = m["p_a"].str.len().to_numpy()  # hex len = 2x byte len
@@ -181,65 +170,46 @@ def edit_distance_pairs(ds, key: str = "doc_id", text_col: str = "text",
         pa = m["p_a"].to_numpy()[keep]
         pb = m["p_b"].to_numpy()[keep]
         swap = ida > idb
-        a = np.where(swap, idb, ida)
-        b = np.where(swap, ida, idb)
-        pa2 = np.where(swap, pb, pa)
-        pb2 = np.where(swap, pa, pb)
-        out = pd.DataFrame({"a": a.astype(np.int64),
-                            "b": b.astype(np.int64),
-                            "pa": pa2, "pb": pb2})
-        return out.drop_duplicates(["a", "b"])
+        return pd.DataFrame({"a": np.where(swap, idb, ida).astype(np.int64),
+                             "b": np.where(swap, ida, idb).astype(np.int64),
+                             "pa": np.where(swap, pb, pa),
+                             "pb": np.where(swap, pa, pb)}
+                            ).drop_duplicates(["a", "b"])
 
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        silence_empty_block_schema_warnings()
-        if "a" not in batch.columns or not len(batch):
-            return pd.DataFrame({"a": pd.Series(dtype="int64"),
-                                 "b": pd.Series(dtype="int64"),
-                                 "pair": pd.Series(dtype="object"),
-                                 "dist": pd.Series(dtype="int64")})
-        d = lev_batch([bytes.fromhex(h) for h in batch["pa"]],
-                      [bytes.fromhex(h) for h in batch["pb"]])
+    def verify(pairs: pd.DataFrame) -> pd.DataFrame:
+        pa = [bytes.fromhex(h) for h in pairs["pa"]]
+        pb = [bytes.fromhex(h) for h in pairs["pb"]]
+        # bounded DP tables: lev_batch holds O(pairs x prefix) cells
+        d = np.concatenate([lev_batch(pa[i:i + 4096], pb[i:i + 4096])
+                            for i in range(0, len(pa), 4096)])
         ok = d <= tau
-        kept = batch[ok]
-        return pd.DataFrame({
-            "a": kept["a"].to_numpy(),
-            "b": kept["b"].to_numpy(),
-            "pair": (kept["a"].astype(str) + "|"
-                     + kept["b"].astype(str)).to_numpy(),
-            "dist": d[ok]})
+        return pd.DataFrame({"a": pairs["a"].to_numpy()[ok],
+                             "b": pairs["b"].to_numpy()[ok],
+                             "dist": d[ok]})
 
-    def pair_shard(batch: pd.DataFrame) -> pd.DataFrame:
-        silence_empty_block_schema_warnings()
-        if "pair" not in batch.columns or not len(batch):
-            return pd.DataFrame({"a": pd.Series(dtype="int64"),
-                                 "b": pd.Series(dtype="int64"),
-                                 "dist": pd.Series(dtype="int64"),
-                                 "ps": pd.Series(dtype="int64")})
-        return batch.assign(ps=(pd.util.hash_array(
-            batch["pair"].to_numpy(dtype=object)) % num_shards)
-            .astype("int64"))[["a", "b", "dist", "ps"]]
+    entries, S = sized(ds.map_batches(expand, batch_format="pandas"),
+                       num_shards, cap=64)
 
-    def dedup_shard(g: pd.DataFrame) -> pd.DataFrame:
-        silence_empty_block_schema_warnings()
-        if "a" not in g.columns or not len(g):
-            return pd.DataFrame({"a": pd.Series(dtype="int64"),
-                                 "b": pd.Series(dtype="int64"),
-                                 "dist": pd.Series(dtype="int64")})
-        return g.drop_duplicates(["a", "b"])[["a", "b", "dist"]]
+    # bucket keys are near-unique, and a Ray keyed aggregate walks groups
+    # in PYTHON — route buckets to S shards and do the per-bucket work
+    # with ONE vectorized merge per shard (the substring_dedup lesson)
+    def split(bl):
+        if not bl.num_rows or "bk" not in bl.schema.names:
+            return [None] * S
+        df = bl.to_pandas()
+        sid = pd.util.hash_array(df["bk"].to_numpy(dtype=object)) % S
+        return [df[sid == s] for s in range(S)]
 
-    cand = (ds.map_batches(expand, batch_format="pandas")
-            .groupby("shard").map_groups(shard_pairs, batch_format="pandas")
-            .map_batches(verify, batch_format="pandas"))
-    # a pair can surface in buckets of DIFFERENT shards: global dedup is
-    # another bounded-shard exchange (same-pair -> same shard), never a
-    # per-pair Python group walk
-    out = (cand.map_batches(pair_shard, batch_format="pandas")
-           .groupby("ps").map_groups(dedup_shard, batch_format="pandas"))
-    parts = [b for b in out.iter_batches(batch_format="pandas")
-             if len(b.columns)]
-    if not parts:
-        return pd.DataFrame({"a": pd.Series(dtype="int64"),
-                             "b": pd.Series(dtype="int64"),
-                             "dist": pd.Series(dtype="int64")})
-    return (pd.concat(parts, ignore_index=True)
+    def merge(*parts):
+        g = [p for p in parts if p is not None and len(p)]
+        if not g:
+            return empty
+        pairs = shard_pairs(pd.concat(g, ignore_index=True))
+        return verify(pairs) if len(pairs) else empty
+
+    shards = exchange(entries.to_arrow_refs(), S, split, merge)
+    # a pair can surface in buckets of different shards: dedup here, on
+    # the output-sized verified pairs
+    return (pd.concat(ray.get(list(shards.values())), ignore_index=True)
+            .drop_duplicates(["a", "b"])
             .sort_values(["a", "b"]).reset_index(drop=True))

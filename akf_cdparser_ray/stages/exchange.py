@@ -8,6 +8,8 @@ input: a per-block SPLIT task emits ``num_shards`` separate objects
 (``num_returns``), and each per-shard MERGE task folds only its own 1/S
 slices. Transient memory per task is O(block), then O(total/S).
 
+- :func:`sized` materializes an exchange's input once and picks S from
+  its row count (:func:`shard_count`) unless the caller pins it.
 - :func:`exchange` runs the two hops for a site's own split and merge;
   the split decides whether rows go by hash or by range.
 - :func:`edge_shards` is the graph edge exchange (pagerank, triangles,
@@ -29,6 +31,31 @@ import ray
 
 EMPTY_EDGES = pd.DataFrame({"src": pd.Series(dtype=np.int64),
                             "dst": pd.Series(dtype=np.int64)})
+
+# Rows one shard takes before a sized exchange adds another. Each shard
+# costs a split return, a merge task and a probe fan-out whatever its
+# size; below this many rows a wider fan-out costs more task overhead
+# than the parallel work it buys. MAX_SHARDS is the default cap.
+ROWS_PER_SHARD = 1 << 16
+MAX_SHARDS = 16
+
+
+def shard_count(rows: int, cap: int = MAX_SHARDS,
+                per_shard: int = ROWS_PER_SHARD) -> int:
+    """``ceil(rows / per_shard)`` clamped to ``[1, cap]``."""
+    return max(1, min(cap, -(-rows // per_shard)))
+
+
+def sized(ds, num_shards: int | None, cap: int = MAX_SHARDS):
+    """``(ds.materialize(), S)``: S is ``num_shards`` when given, else
+    :func:`shard_count` of the row count, which a materialized Dataset
+    reads from block metadata. Materializing first also runs a lazy
+    upstream exactly once: ``to_arrow_refs()`` on a lazy Dataset runs
+    the plan a second time to fetch the schema."""
+    ds = ds.materialize()
+    if num_shards is None:
+        num_shards = shard_count(ds.count(), cap)
+    return ds, num_shards
 
 
 def exchange(refs, num_shards: int, split, merge) -> dict:
@@ -63,13 +90,12 @@ def shard_lens(shard_refs: dict) -> list[int]:
                     for s in range(len(shard_refs))])
 
 
-def member_mask(values: np.ndarray, shards: dict,
-                num_shards: int) -> np.ndarray:
-    """True where an int64 value is in its shard ``values % num_shards``
+def member_mask(values: np.ndarray, shards: dict) -> np.ndarray:
+    """True where an int64 value is in its shard ``values % len(shards)``
     (numpy's nonnegative modulo). Each shard is a sorted array read
     zero-copy from the object store and probed with ``searchsorted``."""
     hit = np.zeros(len(values), dtype=bool)
-    mod = values % num_shards
+    mod = values % len(shards)
     for s in np.unique(mod):
         arr = ray.get(shards[int(s)])
         if not len(arr):
@@ -80,9 +106,11 @@ def member_mask(values: np.ndarray, shards: dict,
     return hit
 
 
-def edge_shards(edges_ds, num_shards: int) -> dict:
-    """Edges → per-shard pandas frames keyed by ``src % num_shards``,
-    each sorted by (src, dst) and pinned in the object store."""
+def edge_shards(edges_ds, num_shards: int | None) -> dict:
+    """Edges → per-shard pandas frames keyed by ``src % S``, each sorted
+    by (src, dst) and pinned in the object store. ``num_shards=None``
+    sizes S from the edge count (:func:`sized`); S is ``len(result)``."""
+    edges_ds, num_shards = sized(edges_ds, num_shards)
 
     def split(bl):
         if not bl.num_rows or "src" not in bl.schema.names:

@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.io import finalize_partition
-from .exchange import rank_join
+from .exchange import rank_join, sized
 from .sketches import TDigest
 
 
@@ -122,18 +122,18 @@ def write_range_shards(ds, root: str, key: str, n_shards: int,
 
 
 def global_rank(ds, col: str, key: str = "doc_id",
-                num_shards: int = 16, delta: int = 400):
+                num_shards: int | None = None, delta: int = 400):
     """EXACT global rank (distributed argsort) of every row by
     ``(col, key)`` — the curriculum-ordering / percentile-calibration
     primitive. ``exchange.rank_join`` ranged on a VALUE column:
     t-digest quantile cuts give ~balanced shards (approximation affects
     BALANCE only, never correctness — all rows of a value route to one
     shard). No all-to-all sort of the payload, no driver
-    materialization.
+    materialization. ``num_shards=None`` sizes S from the row count, up
+    to 16 (``exchange.sized``); at S == 1 no cut pass runs.
 
     SQL mirror (exact): ``row_number() OVER (ORDER BY col, key) - 1``.
     Returns a Dataset of (key, col, rank)."""
-    bounds = key_boundaries(ds, col, num_shards, delta)
 
     def keyed(batch: pd.DataFrame) -> pd.DataFrame:
         if key not in batch.columns or not len(batch):
@@ -143,8 +143,10 @@ def global_rank(ds, col: str, key: str = "doc_id",
         return batch[[key, col]].assign(
             _v=batch[col].to_numpy().astype(np.float64))
 
-    keyed_ds = ds.map_batches(keyed, batch_format="pandas",
-                              batch_size=None).materialize()
-    return rank_join(keyed_ds, num_shards,
+    keyed_ds, S = sized(ds.map_batches(keyed, batch_format="pandas",
+                                       batch_size=None), num_shards)
+    bounds = (key_boundaries(keyed_ds, "_v", S, delta) if S > 1
+              else np.empty(0, np.float64))
+    return rank_join(keyed_ds, S,
                      lambda v: np.searchsorted(bounds, v, side="right"),
                      "_v", key, "rank")

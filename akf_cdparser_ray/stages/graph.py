@@ -213,20 +213,23 @@ def pagerank_reference(edges: pd.DataFrame, iters: int = 10,
     return pd.DataFrame({"node": nodes, "rank": r})
 
 
-def triangle_count(edges_ds, num_shards: int = 16) -> pd.DataFrame:
+def triangle_count(edges_ds, num_shards: int | None = None) -> pd.DataFrame:
     """Exact global triangle count (node-iterator / forward algorithm,
     Schank & Wagner 2005): orient every edge low->high so each triangle
     a<b<c is counted exactly once — via its edge (a,b) as
     |N+(a) ∩ N+(b)|, N+ = higher-numbered neighbors.
 
     Shape: the oriented edges exchange ONCE into per-shard sorted
-    frames (``exchange.edge_shards``, src % num_shards), each
+    frames (``exchange.edge_shards``, src % S), each
     shard dedups locally, then S probe tasks each walk THEIR OWN edges:
     N+(u) is shard-local by construction, N+(v) comes from shard
     v % S fetched by ref (plasma, node-shared; held one at a time).
     The driver sees S partial-count scalars. Per-probe cost is the
     textbook O(sum over edges of d(u)+d(v)) via two searchsorted slices
     and one sorted-array intersection per edge.
+
+    ``num_shards=None`` sizes S from the oriented edge count, up to 16
+    (``exchange.sized``); an int pins S.
 
     Returns a one-row DataFrame (n_triangles, n_edges, n_nodes)."""
 
@@ -254,7 +257,7 @@ def triangle_count(edges_ds, num_shards: int = 16) -> pd.DataFrame:
                 .sort_values(["src", "dst"], kind="mergesort")
                 .reset_index(drop=True))
 
-    adj = {s: dedup_shard.remote(shards[s]) for s in range(num_shards)}
+    adj = {s: dedup_shard.remote(ref) for s, ref in shards.items()}
 
     @ray.remote
     def probe(own, adj_refs):
@@ -281,7 +284,7 @@ def triangle_count(edges_ds, num_shards: int = 16) -> pd.DataFrame:
                 total += len(np.intersect1d(nu, nv, assume_unique=True))
         return total, len(own), nodes
 
-    parts = ray.get([probe.remote(adj[s], adj) for s in range(num_shards)])
+    parts = ray.get([probe.remote(adj[s], adj) for s in adj])
     n_tri = sum(p[0] for p in parts)
     n_edges = sum(p[1] for p in parts)
     n_nodes = len(np.unique(np.concatenate(

@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .exchange import rank_join
+from .exchange import rank_join, sized
 
 _BUCKETS = 10_000
 
@@ -227,7 +227,7 @@ def weighted_sample_k(ds, key: str, weight: str, k: int, salt: str = "",
 
 
 def epoch_shuffle(ds, key: str = "doc_id", epoch: int = 0,
-                  num_shards: int = 16, hash_mode: str = "md5"):
+                  num_shards: int | None = None, hash_mode: str = "md5"):
     """Deterministic per-epoch GLOBAL reshuffle: every row gets its
     position in the permutation ordered by (md5(key||'|ep<epoch>'), key)
     — the reproducible training-epoch shuffle (same key + epoch → same
@@ -240,6 +240,8 @@ def epoch_shuffle(ds, key: str = "doc_id", epoch: int = 0,
     offsets) and S ObjectRefs — never a row; each block then computes
     its rows' positions with a ``searchsorted`` probe against its shard.
     No all-to-all sort of the payload, no driver materialization.
+    ``num_shards=None`` sizes it from the row count, up to 16
+    (``exchange.sized``).
 
     SQL mirror (hash-exact): ``row_number() OVER (ORDER BY
     md5_number_lower(CAST(key AS VARCHAR) || '|ep<epoch>') ASC, key ASC)
@@ -247,13 +249,6 @@ def epoch_shuffle(ds, key: str = "doc_id", epoch: int = 0,
     import math
 
     salt = f"|ep{epoch}"
-    S = 1 << max(0, int(math.ceil(math.log2(max(1, num_shards)))))
-    shift = np.uint64(64 - (S.bit_length() - 1)) if S > 1 else None
-
-    def _shard_of(ks: np.ndarray) -> np.ndarray:
-        if S == 1:
-            return np.zeros(len(ks), dtype=np.int64)
-        return (ks >> shift).astype(np.int64)
 
     def keyed(batch: pd.DataFrame) -> pd.DataFrame:
         if key not in batch.columns or not len(batch):
@@ -262,13 +257,21 @@ def epoch_shuffle(ds, key: str = "doc_id", epoch: int = 0,
         h = _hash_col(batch[key].tolist(), salt, hash_mode)
         return pd.DataFrame({key: batch[key].to_numpy(), "_k": h})
 
-    keyed_ds = ds.map_batches(keyed, batch_format="pandas",
-                              batch_size=None).materialize()
+    keyed_ds, S = sized(ds.map_batches(keyed, batch_format="pandas",
+                                       batch_size=None), num_shards)
+    S = 1 << max(0, int(math.ceil(math.log2(max(1, S)))))
+    shift = np.uint64(64 - (S.bit_length() - 1)) if S > 1 else None
+
+    def _shard_of(ks: np.ndarray) -> np.ndarray:
+        if S == 1:
+            return np.zeros(len(ks), dtype=np.int64)
+        return (ks >> shift).astype(np.int64)
+
     return rank_join(keyed_ds, S, _shard_of, "_k", key, "pos")
 
 
 def global_ntile(ds, key: str = "doc_id", k: int = 4, epoch: int = 0,
-                 num_shards: int = 16, hash_mode: str = "md5",
+                 num_shards: int | None = None, hash_mode: str = "md5",
                  total: int | None = None):
     """NTILE(k) over the deterministic global hash order — equal-depth
     bucket assignment for train-shard / eval-fold construction, with SQL

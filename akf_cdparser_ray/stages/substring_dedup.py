@@ -18,7 +18,7 @@ scale the equivalent shape is
 2. **dup-set exchange** — ``exchange.exchange``, the two-hop one-time
    exchange (chosen over ``groupby().sum()`` because a 64-bit-hash key
    space has ~one group per row and Ray's aggregate walks groups in
-   Python): per-block splits emit ``num_shards`` separate ``(h, n)``
+   Python): per-block splits emit S separate ``(h, n)``
    slices, per-shard merges sum counts over only their own 1/S slices
    (``np.add.at`` over a ``np.unique`` inverse — C speed) and pin the
    SORTED hashes with global count >= 2 in plasma. The driver holds
@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .exchange import exchange, member_mask
+from .exchange import exchange, member_mask, sized
 
 # default multiplier: odd (invertible mod 2^64) FNV-1a prime
 _DEFAULT_BASE = 0x100000001B3
@@ -105,13 +105,15 @@ def _batch_grams(texts, L: int, base: int):
 
 
 def dup_gram_shards(ds, L: int = 20, text_col: str = "text",
-                    num_shards: int = 16,
+                    num_shards: int | None = None,
                     base: int = _DEFAULT_BASE) -> dict:
     """Hash-partitioned SORTED arrays (int64 bit-view) of gram hashes
     whose global occurrence count (across documents AND positions,
     overlaps included) is >= 2, pinned in the object store; the driver
-    holds only the per-shard ObjectRefs. ``shard = h % num_shards``
-    with numpy's nonnegative modulo — probes must use the same."""
+    holds only the per-shard ObjectRefs. ``shard = h % S`` with numpy's
+    nonnegative modulo and S = ``len(result)`` — ``member_mask`` probes
+    the same way. ``num_shards=None`` sizes S from the per-block
+    distinct-gram row count, up to 16 (``exchange.sized``)."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         if text_col not in batch.columns or not len(batch):
@@ -121,6 +123,9 @@ def dup_gram_shards(ds, L: int = 20, text_col: str = "text",
         u, c = np.unique(h, return_counts=True)
         return pd.DataFrame({"h": u.view(np.int64),
                              "n": c.astype(np.int64)})
+
+    grams, num_shards = sized(ds.map_batches(partial, batch_format="pandas"),
+                              num_shards)
 
     def split(bl):
         if not bl.num_rows or "h" not in bl.schema.names:
@@ -144,8 +149,7 @@ def dup_gram_shards(ds, L: int = 20, text_col: str = "text",
         np.add.at(tot, inv, n_all)
         return u[tot >= 2]  # np.unique output is already sorted
 
-    refs = ds.map_batches(partial, batch_format="pandas").to_arrow_refs()
-    return exchange(refs, num_shards, split, merge)
+    return exchange(grams.to_arrow_refs(), num_shards, split, merge)
 
 
 def _merge_islands(doc_m: np.ndarray, rel_m: np.ndarray, L: int):
@@ -159,7 +163,7 @@ def _merge_islands(doc_m: np.ndarray, rel_m: np.ndarray, L: int):
 
 
 def duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
-                     text_col: str = "text", num_shards: int = 16,
+                     text_col: str = "text", num_shards: int | None = None,
                      base: int = _DEFAULT_BASE, shards: dict | None = None):
     """Maximal duplicated spans per document as a Dataset with columns
     ``(doc_id, span_start, span_end)`` — 0-based byte offsets, end
@@ -179,7 +183,7 @@ def duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
         h, doc, rel = _batch_grams(batch[text_col].tolist(), L, base)
         if not len(h):
             return empty
-        dup_mask = member_mask(h.view(np.int64), shards, num_shards)
+        dup_mask = member_mask(h.view(np.int64), shards)
         doc_m, rel_m = doc[dup_mask], rel[dup_mask]
         if not len(doc_m):
             return empty
@@ -194,7 +198,8 @@ def duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
 
 
 def scrub_duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
-                           text_col: str = "text", num_shards: int = 16,
+                           text_col: str = "text",
+                           num_shards: int | None = None,
                            min_keep: int = 0, base: int = _DEFAULT_BASE,
                            shards: dict | None = None):
     """Cut every duplicated span out of each document (the paper's
@@ -214,7 +219,7 @@ def scrub_duplicated_spans(ds, L: int = 20, id_col: str = "doc_id",
         h, doc, rel = _batch_grams(texts, L, base)
         cut: dict[int, list[tuple[int, int]]] = {}
         if len(h):
-            dup_mask = member_mask(h.view(np.int64), shards, num_shards)
+            dup_mask = member_mask(h.view(np.int64), shards)
             doc_m, rel_m = doc[dup_mask], rel[dup_mask]
             if len(doc_m):
                 s_idx, e_idx = _merge_islands(doc_m, rel_m, L)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pandas as pd
 import ray
 
-from .exchange import exchange, member_mask, shard_lens
+from .exchange import exchange, member_mask, shard_lens, sized
 
 
 def tumbling_window_counts(events_ds, freq: str = "h"):
@@ -124,7 +124,7 @@ def _split_ids_block(bl, key: str, num_shards: int) -> list:
     return [np.unique(ids[mod == s]) for s in range(num_shards)]
 
 
-def build_id_shards(ids_ds, key: str, num_shards: int) -> dict:
+def build_id_shards(ids_ds, key: str, num_shards: int | None) -> dict:
     """Hash-partition an integer id column into SORTED per-shard numpy
     arrays pinned in the object store. The driver holds only the
     ObjectRefs — never an id set — and the exchange is the two-hop
@@ -134,8 +134,13 @@ def build_id_shards(ids_ds, key: str, num_shards: int) -> dict:
 
     Transient memory per task is O(block) then O(total/S), never
     O(total) (a merge that received every block and filtered would OOM
-    workers at a 100-TB drop list long before plasma fills)."""
+    workers at a 100-TB drop list long before plasma fills).
+
+    ``num_shards=None`` sizes S from the id count, up to 16
+    (``exchange.sized``); S is ``len(result)``."""
     import numpy as np
+
+    ids_ds, num_shards = sized(ids_ds, num_shards)
 
     def merge(*slices):
         arrs = [a for a in slices if len(a)]
@@ -148,7 +153,7 @@ def build_id_shards(ids_ds, key: str, num_shards: int) -> dict:
 
 
 def anti_join_ids(left_ds, ids_ds, key: str = "doc_id",
-                  num_shards: int = 16):
+                  num_shards: int | None = None):
     """Distributed anti-join against an id list that PRESERVES the left
     side's layout (row order AND block boundaries — required upstream of
     batch-layout-sensitive consumers like FFD packing).
@@ -162,7 +167,8 @@ def anti_join_ids(left_ds, ids_ds, key: str = "doc_id",
     driver id set, no per-task set copy: 8 bytes/id shared per node via
     plasma, spillable.
 
-    ``ids_ds``: a Dataset with column ``key``."""
+    ``ids_ds``: a Dataset with column ``key``; ``num_shards=None``
+    sizes the id shards from its row count (``build_id_shards``)."""
     import numpy as np
 
     shards = build_id_shards(ids_ds, key, num_shards)
@@ -171,7 +177,7 @@ def anti_join_ids(left_ds, ids_ds, key: str = "doc_id",
         if key not in batch.columns or not len(batch):
             return batch
         ids = batch[key].to_numpy(dtype=np.int64)
-        return batch[~member_mask(ids, shards, num_shards)]
+        return batch[~member_mask(ids, shards)]
 
     return left_ds.map_batches(probe, batch_format="pandas",
                                batch_size=None)
@@ -446,7 +452,8 @@ def rolling_window_stats(ds, group: str = "user_id",
 
 
 def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
-                  ids_key: str | None = None, num_shards: int = 16,
+                  ids_key: str | None = None,
+                  num_shards: int | None = None,
                   bloom_bits_per_key: int = 12):
     """Distributed EXACT semi-join (keep left rows whose ``key`` appears
     in the id set) with a broadcast bloom prefilter — the classic
@@ -460,7 +467,8 @@ def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
     At scale the bloom kills ~all non-matching rows for the cost of one
     broadcast object (~1.5 bytes/id) instead of touching the 8-byte/id
     shard arrays for every row. Layout-preserving like
-    :func:`anti_join_ids` (no shuffle or reorder of the left payload)."""
+    :func:`anti_join_ids` (no shuffle or reorder of the left payload);
+    ``num_shards=None`` sizes the id shards as there."""
     import numpy as np
 
     from akf_cdparser_ray.state.filters import BloomFilter
@@ -488,8 +496,7 @@ def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
             f.add_many(_mix64(np.asarray(arr)))
         return f.serialize()
 
-    pages = ray.get([partial_bloom.remote(shards[s])
-                     for s in range(num_shards)])
+    pages = ray.get([partial_bloom.remote(ref) for ref in shards.values()])
     merged = BloomFilter.deserialize(pages[0])
     for p in pages[1:]:
         merged.bits |= BloomFilter.deserialize(p).bits
@@ -506,7 +513,7 @@ def semi_join_ids(left_ds, ids_ds, key: str = "doc_id",
         f.bits = ray.get(bits_ref)  # zero-copy plasma read, shared per node
         keep = f.contains_many(_mix64(ids))          # bloom prefilter
         sel = np.flatnonzero(keep)                   # exact verify survivors
-        keep[sel] = member_mask(ids[sel], shards, num_shards)
+        keep[sel] = member_mask(ids[sel], shards)
         return batch[keep]
 
     return left_ds.map_batches(probe, batch_format="pandas",

@@ -9,6 +9,9 @@ Prints ONE JSON line:
    "queries": {...per-query seconds...}, "sf": ..., "num_cpus": N,
    "pages": N_PAGES, "pages_per_sec": ...}
 
+--queries [SF_DIR]: runs only the per-query subset (default SF_DIR from
+GRAFT_SF_DIR) and prints {"queries": {...seconds...}, "sf", "num_cpus"}.
+
 --scaling: runs the headline twice in fresh processes (num_cpus=8 and 32)
 on the same input and reports both throughputs + scaling efficiency
 (sandbox substitute for N vs 4N nodes).
@@ -461,9 +464,25 @@ def _machine_parallel_ceiling() -> float:
     return round((rates[32] / rates[8]) / 4, 3)
 
 
+def queries_only(sf_dir: str) -> None:
+    """Print the walls of the BENCH_QUERIES subset on ``sf_dir`` as one
+    JSON line, without the headline or the crawl."""
+    import ray
+
+    _start_ray()
+    queries = run_queries(sf_dir)
+    ray.shutdown()
+    print(json.dumps({"queries": queries, "sf": sf_dir,
+                      "num_cpus": NUM_CPUS}))
+
+
 if __name__ == "__main__":
     if "--stats" in sys.argv:
         stats()
+        raise SystemExit(0)
+    if "--queries" in sys.argv:
+        rest = sys.argv[sys.argv.index("--queries") + 1:]
+        queries_only(rest[0] if rest else SF_DIR)
         raise SystemExit(0)
     if "--scaling-stream" in sys.argv:
         scaling_stream()

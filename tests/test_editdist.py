@@ -83,12 +83,12 @@ def test_pairs_complete_vs_bruteforce():
     texts[102] = "käse is closed"
     texts[103] = "kase is closed"
     df = pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())})
-    for tau in (1, 2):
+    for tau, S in ((1, 1), (1, 7), (2, 1), (2, 7)):
         expect = brute_pairs(texts, 16, tau)
         got = edit_distance_pairs(
             rd.from_pandas([df.iloc[i::4].reset_index(drop=True)
                             for i in range(4)]),
-            prefix_len=16, tau=tau)
+            prefix_len=16, tau=tau, num_shards=S)
         assert list(got.itertuples(index=False, name=None)) == expect
     d_umlaut = [d for a, b, d in brute_pairs(texts, 16, 2)
                 if (a, b) == (102, 103)]
@@ -104,11 +104,12 @@ def test_pairs_layout_independent():
         "text": ["alpha beta gamma"] * 3 + ["alpha beta gamm"] * 2
                 + ["wholly different text", "x", "y"]})
     outs = []
-    for n in (1, 5):
+    for n, S in ((1, 1), (5, 1), (1, 7), (5, 7)):
         ds = rd.from_pandas([df.iloc[i::n].reset_index(drop=True)
                              for i in range(n)])
-        outs.append(edit_distance_pairs(ds, prefix_len=16, tau=2))
-    assert outs[0].equals(outs[1])
+        outs.append(edit_distance_pairs(ds, prefix_len=16, tau=2,
+                                        num_shards=S))
+    assert all(o.equals(outs[0]) for o in outs[1:])
     # the three identical + two 1-off texts form a 5-clique; x/y pair at d=1
     assert len(outs[0]) == 11
 
@@ -120,8 +121,10 @@ def test_bucket_cap_raises_on_degenerate_segment():
     df = pd.DataFrame({"doc_id": range(40),
                        "text": ["identical prefix here"] * 40})
     ds = rd.from_pandas([df])
-    with pytest.raises(Exception, match="bucket"):
-        edit_distance_pairs(ds, prefix_len=16, tau=2, bucket_cap=30)
+    for S in (1, 7):
+        with pytest.raises(Exception, match="bucket"):
+            edit_distance_pairs(ds, prefix_len=16, tau=2, bucket_cap=30,
+                                num_shards=S)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -133,8 +136,10 @@ def test_null_text_pairs_with_nothing():
 
     df = pd.DataFrame({"doc_id": range(5),
                        "text": ["ab", None, "x", "abcdefgh", None]})
-    got = edit_distance_pairs(rd.from_pandas([df]), prefix_len=16, tau=2)
     texts = {i: t for i, t in enumerate(df["text"]) if t is not None}
-    assert list(got.itertuples(index=False, name=None)) == \
-        brute_pairs(texts, 16, 2)
-    assert not {1, 4} & (set(got["a"]) | set(got["b"]))
+    for S in (1, 7):
+        got = edit_distance_pairs(rd.from_pandas([df]), prefix_len=16,
+                                  tau=2, num_shards=S)
+        assert list(got.itertuples(index=False, name=None)) == \
+            brute_pairs(texts, 16, 2)
+        assert not {1, 4} & (set(got["a"]) | set(got["b"]))

@@ -61,9 +61,9 @@ def test_member_mask_matches_isin():
                          pd.DataFrame({"doc_id": ids[25:]})])
     for S in (1, 4):
         shards = build_id_shards(ds, "doc_id", S)
-        got = member_mask(probe, shards, S)
+        got = member_mask(probe, shards)
         assert np.array_equal(got, np.isin(probe, ids))
-        assert not member_mask(np.empty(0, np.int64), shards, S).size
+        assert not member_mask(np.empty(0, np.int64), shards).size
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -87,3 +87,105 @@ def test_rank_join_s1_equals_s4_with_ties():
         assert list(out.columns) == ["key", "pos"]
         got = out.set_index("key")["pos"].reindex(key).to_numpy()
         assert np.array_equal(got, expected), S
+
+
+def test_shard_count_boundaries():
+    from akf_cdparser_ray.stages.exchange import ROWS_PER_SHARD, shard_count
+
+    assert shard_count(0) == 1
+    assert shard_count(ROWS_PER_SHARD) == 1
+    assert shard_count(ROWS_PER_SHARD + 1) == 2
+    assert shard_count(16 * ROWS_PER_SHARD + 1) == 16
+    assert shard_count(10 ** 12, cap=64) == 64
+    assert shard_count(3 * 1024 + 1, cap=8, per_shard=1024) == 4
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_exchange_runs_lazy_upstream_once(tmp_path):
+    """A lazy UDF upstream of each exchange builder runs once per block:
+    ``to_arrow_refs()`` on a lazy Dataset would run it once more to fetch
+    the schema."""
+    import os
+    import uuid
+
+    import ray.data as rd
+
+    from akf_cdparser_ray.stages.exchange import edge_shards
+    from akf_cdparser_ray.stages.substring_dedup import dup_gram_shards
+    from akf_cdparser_ray.stages.windows import build_id_shards
+
+    df = pd.DataFrame({"src": np.arange(12, dtype=np.int64),
+                       "dst": np.arange(12, dtype=np.int64)[::-1],
+                       "doc_id": np.arange(12, dtype=np.int64),
+                       "text": ["the same words again and again"] * 12})
+    for name, build in (
+            ("edges", lambda ds: edge_shards(ds, None)),
+            ("ids", lambda ds: build_id_shards(ds, "doc_id", None)),
+            ("grams", lambda ds: dup_gram_shards(ds, L=8))):
+        out = tmp_path / name
+        out.mkdir()
+
+        def counted(batch, out=str(out)):
+            open(os.path.join(out, uuid.uuid4().hex), "w").close()
+            return batch
+
+        ds = rd.from_pandas([df.iloc[i::3].reset_index(drop=True)
+                             for i in range(3)])
+        build(ds.map_batches(counted, batch_format="pandas",
+                             batch_size=None))
+        assert len(os.listdir(out)) == 3, name
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sized_operators_equal_pinned_shards():
+    """``num_shards=None`` (one shard at this size) gives the same output
+    as a pinned S > 1, for every operator that sizes its exchange."""
+    import ray.data as rd
+
+    from akf_cdparser_ray.stages.crossjoin import ngram_jaccard_pairs
+    from akf_cdparser_ray.stages.editdist import edit_distance_pairs
+    from akf_cdparser_ray.stages.export import global_rank
+    from akf_cdparser_ray.stages.graph import triangle_count
+    from akf_cdparser_ray.stages.sampling import epoch_shuffle
+    from akf_cdparser_ray.stages.substring_dedup import duplicated_spans
+
+    rng = np.random.RandomState(11)
+    words = "alpha beta gamma delta eps zeta eta theta".split()
+    texts = [" ".join(rng.choice(words, rng.randint(8, 20)))
+             for _ in range(40)]
+    texts += [t.rsplit(" ", 1)[0] + " omega" for t in texts[:20]]
+    docs = pd.DataFrame({"doc_id": np.arange(60, dtype=np.int64),
+                         "text": texts,
+                         "n": np.array([len(t) for t in texts], np.int64)})
+    edges = pd.DataFrame({"src": rng.randint(0, 20, 150).astype(np.int64),
+                          "dst": rng.randint(0, 20, 150).astype(np.int64)})
+
+    def blocks(df):
+        return rd.from_pandas([df.iloc[i::4].reset_index(drop=True)
+                               for i in range(4)])
+
+    def frame(res):
+        df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    runs = {
+        "triangles": lambda S: triangle_count(blocks(edges), num_shards=S),
+        "global_rank": lambda S: global_rank(blocks(docs), col="n",
+                                             num_shards=S),
+        "epoch_shuffle": lambda S: epoch_shuffle(blocks(docs), epoch=3,
+                                                 num_shards=S),
+        "substring_dedup": lambda S: duplicated_spans(blocks(docs), L=12,
+                                                      num_shards=S),
+        "ngram_jaccard": lambda S: ngram_jaccard_pairs(blocks(docs),
+                                                       num_blocks=S),
+        "editdist": lambda S: edit_distance_pairs(blocks(docs),
+                                                  prefix_len=12,
+                                                  num_shards=S),
+    }
+    for name, run in runs.items():
+        sized, pinned = frame(run(None)), frame(run(4))
+        assert len(sized), name
+        pd.testing.assert_frame_equal(sized, pinned, obj=name)
+    # no pair passes: a typed empty frame, not a column-less one
+    none = ngram_jaccard_pairs(blocks(docs.iloc[:3]), threshold_pct=100)
+    assert list(none.columns) == ["doc_a", "doc_b", "n_inter", "n_union"]

@@ -5,6 +5,7 @@ blobs, keyed by dictionary fingerprint. A refactor of the parser must keep
 every digest; an intended output change re-pins with a stated reason."""
 
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -106,13 +107,32 @@ def test_caption_path_drops_only_fulltext(corpus):
         if "_fulltext" not in full or list(slim.items()) != [
                 kv for kv in full.items() if kv[0] != "_fulltext"]:
             moved.append(i)
-        try:
-            want.append(synth.canonical_caption(full))
-        except TypeError:  # mixed key types: ParseProfiles' error row
-            want.append(None)
+        want.append(synth.canonical_caption(full))
     assert moved == []
     got = ParseProfiles()(pc.pages_batch(pages)).column("caption").to_pylist()
     assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
+
+def test_caption_of_mixed_key_dict(corpus):
+    """Page 219 (mutation seed 1119) parses to a dict mixing int and str
+    keys, which ``json.dumps(sort_keys=True)`` rejects. Its caption puts
+    number keys first, ascending, and ``ParseProfiles`` writes an ok row
+    for it. The same ordering reproduces the fast path's caption on a
+    page whose keys are all strings."""
+    pages, _pins, parser = corpus
+    full = pc.parse_record(parser, pages[219])["parsed"]
+    assert list(full["ausBilanzen"][0]["ausBilanzen"]) == [-1, "Passiva"]
+    cap = synth.canonical_caption(full)
+    assert json.loads(cap)["ausBilanzen"][0]["ausBilanzen"].keys() == {
+        "-1", "Passiva"}
+    assert cap.index('"-1":') < cap.index('"Passiva":')
+    row = ParseProfiles()(pc.pages_batch(pages[219:220]))
+    assert row.column("status").to_pylist() == ["ok"]
+    assert row.column("caption").to_pylist() == [cap]
+    plain = {k: v for k, v in pc.parse_record(parser, pages[0])["parsed"]
+             .items() if k != "_fulltext"}
+    assert json.dumps(synth._ordered(plain), ensure_ascii=False,
+                      separators=(",", ":")) == synth.canonical_caption(plain)
 
 
 def test_coverage_matches_pins(corpus):

@@ -67,3 +67,38 @@ def test_hot_key_spreads_and_determinism():
     for c in ["k", "x"]:
         mix ^= pd.util.hash_array(left[c].to_numpy()).astype(np.uint64)
     assert len(np.unique(mix % 8)) > 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_int64_keys_above_2_53_spread_over_buckets():
+    """Distinct int64 keys above 2**53 share a float64 value, so hashing
+    the float64 cast put all 64 of them in one bucket. Hashed as int64
+    they spread, integral floats still meet their int64 twins, and both
+    joins stay exact."""
+    import ray.data as rd
+
+    from akf_cdparser_ray.stages.crossjoin import _key_hash
+
+    keys = (2 ** 60 + np.arange(64)).astype(np.int64)
+    assert len(np.unique(keys.astype(np.float64))) == 1
+    assert len(np.unique(_key_hash(keys) % 32)) > 8
+    small = np.array([3, -7, 0], np.int64)
+    assert np.array_equal(_key_hash(small),
+                          _key_hash(small.astype(np.float64)))
+    assert np.array_equal(_key_hash(np.array([3], np.uint64)),
+                          _key_hash(np.array([3.0])))
+
+    left = pd.DataFrame({"k": np.repeat(keys, 2), "x": np.arange(128)})
+    right = pd.DataFrame({"rk": keys[::2], "tag": [f"t{i}" for i in range(32)]})
+    # compare (x, tag): a bucket holding both sides widens int columns
+    # to float64, which rounds the keys themselves
+    want = _sorted(left.merge(right, left_on="k", right_on="rk")[["x", "tag"]])
+    for join in (shuffle_hash_join, salted_shuffle_join):
+        kw = {"hot_keys": [int(keys[0])], "salt": 4} \
+            if join is salted_shuffle_join else {}
+        got = join(rd.from_pandas(_chunks(left, 3)),
+                   rd.from_pandas(_chunks(right, 2)),
+                   left_key="k", right_key="rk", left_cols=["k", "x"],
+                   right_cols=["rk", "tag"], **kw).to_pandas()
+        got = got[["x", "tag"]].astype({"x": np.int64})
+        assert _sorted(got).equals(want), join.__name__
