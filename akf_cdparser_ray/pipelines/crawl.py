@@ -1,15 +1,15 @@
 """The crawl loop (SURVEY.md §3.1 engine shape; BASELINE.json north rule).
 
-One crawl step (wave) is a streaming ray.data pipeline over a sharded,
-actor-owned frontier:
+One crawl step (wave) runs over a sharded, actor-owned frontier:
 
     frontier dequeue (per-shard priority top-k from the FrontierShard
       actors — LSM-run merge, never a full sort)
       → politeness/robots gate (host-hash-pinned shard actors, hot-host salting)
-      → the shared content body (stages/content.py, also run by the
-        stream mode): fetch (synthetic) → parse (dictionary cache) →
-        image+caption pairs partition (worker-side fragment writes) →
-        link extraction split by ``url_hash % S``
+      → one plain Ray task per allowed block running the shared content
+        body (stages/content.py, also run by the stream mode): fetch
+        (synthetic) → parse (dictionary cache) → image+caption pairs
+        partition (worker-side fragment writes) → link extraction split
+        by ``url_hash % S``
       → explicit hash-partitioned exchange: each task offers its link
         slices straight to the owning FrontierShard, which cuckoo-dedupes
         and min-merges them
@@ -18,22 +18,27 @@ actor-owned frontier:
 The frontier priority queue and the URL-seen cuckoo page for each hash
 shard live together in one ``FrontierShard`` actor (stages/dedupe.py) — the
 sharded priority queue of the north rule. Per-wave frontier operations are
-warm actor RPCs, and dequeued rows NEVER touch the driver either: shards
-hold their top-k and push slices actor→actor to the politeness gates
-(``route_to_gates``); the gates decide, stage their gated slice for
-resume, and hand back object-store block refs. The driver handles only
-host/decision counts, refs, and (priority, url) trace pairs per wave.
+warm actor RPCs, and the control path moves plain column lists only (no
+object-store put, no pickled DataFrame): shards hold their top-k and push
+slices actor→actor to the politeness gates (``route_to_gates``), each row
+tagged with its source shard and hold position; the gates decide, stage
+their gated slice for resume, and return the allowed rows inline as
+task-sized ``(urls, depths)`` blocks plus, per source shard, the hold
+positions of the deferred rows. Each holding shard then ``park``s those
+rows in place (Mercator's per-host back queue: a deferred URL waits in its
+own queue instead of making a round trip through the pipeline). The
+driver handles counts, blocks, positions and (priority, url) trace pairs.
 
 SOFTWARE-PIPELINED WAVES (``pipeline_depth``, default 2): wave k+1's
-dequeue + gate + fetch/parse Dataset run concurrently with wave k's —
-hiding the per-wave Ray Data launch floor and the politeness/flush barrier
-behind the previous wave's compute. Determinism is schedule-independent
-because visibility is *state-encoded in the shards*: links flushed by wave
-k become dequeuable at wave k+2 and wave-k defers at wave k+1, so
-``dequeue(k)`` is a pure function of the operation sequence (seeds,
-dequeues, defers, flushes ≤ k-2), never of when a concurrent flush lands.
-A depth-1 (serial) run produces the byte-identical trace/counters/pairs as
-a depth-2 run (tests/test_crawl.py::test_pipeline_depth_equivalent).
+dequeue + gate + fetch tasks run concurrently with wave k's — hiding the
+politeness/flush barrier behind the previous wave's compute. Determinism is
+schedule-independent because visibility is *state-encoded in the shards*:
+links flushed by wave k become dequeuable at wave k+2 and wave-k defers at
+wave k+1, so ``dequeue(k)`` is a pure function of the operation sequence
+(seeds, dequeues, parks, flushes ≤ k-2), never of when a concurrent flush
+lands. A depth-1 (serial) run produces the byte-identical
+trace/counters/pairs as a depth-2 run
+(tests/test_crawl.py::test_pipeline_depth_equivalent).
 
 Checkpoints are per flushed wave: each shard actor writes its own frontier
 parquet (+ future-bucket sidecar) + filter page (worker-side, parallel),
@@ -42,8 +47,8 @@ and each gate persists its decided slice at decide() time
 states, this wave's counter, this wave's trace segment, pointers to the
 in-flight wave's staged slices, then a ``_COMPLETE`` marker last — so a
 killed job resumes exactly: the shard cut is post-dequeue(k+1)/
-post-flush(k), and ``gated_slice_to_refs`` over the staged slices
-recreates the in-flight wave's dataset blocks without re-gating.
+post-park(k+1)/post-flush(k), and ``gated_slice_blocks`` over the staged
+slices recreates the in-flight wave's allowed blocks without re-gating.
 Dequeue order is a pure function of (priority, url, wave), so the same
 seeds + budget replay to the identical trace (replay invariant).
 """
@@ -105,13 +110,52 @@ _CTR_KEYS = [
     "dequeued", "allowed", "deferred", "robots_denied", "fetched", "http_404",
     "parsed_ok", "parse_err", "links", "links_new", "pairs_rows",
 ]
+# what one fetch task reports, summed per wave
+_TASK_KEYS = ["fetched", "http_404", "pairs_rows", "parsed_ok", "parse_err"]
+
+
+@ray.remote(num_cpus=1)
+def _wave_task(urls: list[str], depths: list[int], wave: int, pairs_tmp: str,
+               corpus_size: int, seed: int, shards: list) -> dict:
+    """One allowed block of a wave (task_urls rows, as the gate handed it
+    out) through the shared content body (stages/content.run_content:
+    fetch → parse → pairs fragment write → link extract + shard split,
+    per-process cached fetch/parse state). The fragment is named by the
+    blake2b of the block's urls, so its name does not depend on which
+    worker ran it. The task offers its link slices straight to the owning
+    FrontierShard actors — the RPC is the explicit hash-partitioned
+    exchange, moving only (canon, hash, host, depth) projections — fire-
+    and-forget: the wave-end flush barrier reconciles on the per-shard
+    offer counts returned here. Links never reach the driver; the driver
+    gets plain counters, per-shard offer counts and layer walls."""
+    import hashlib
+    import time
+
+    name = hashlib.blake2b("|".join(urls).encode(), digest_size=8).hexdigest()
+    batch = pa.table({"url_canon": pa.array(urls, pa.string()),
+                      "depth": pa.array(depths, pa.int64())})
+    ctr, us, slices = run_content(
+        batch, cached_fetch_batch(corpus_size, seed), cached_parse_batch(),
+        os.path.join(pairs_tmp, f"part-{name}.parquet"), len(shards),
+    )
+    t0 = time.perf_counter()
+    offers = [0] * len(shards)
+    for s, canons, hashes, hosts, link_depths in slices:
+        shards[s].offer.remote(canons, hashes, hosts, link_depths, wave)
+        offers[s] = len(hashes)
+    out = {k: ctr[k] for k in _TASK_KEYS}
+    out["offers"] = offers
+    out.update({f"t_{k}": us[k] / 1e6 for k in ("fetch", "parse", "write",
+                                                "links")})
+    out["t_offer"] = time.perf_counter() - t0
+    return out
 
 
 class CrawlJob:
     def __init__(self, cfg: CrawlConfig):
         self.cfg = cfg
-        # silence Ray Data progress bars / per-Dataset stat logs for the wave
-        # Datasets (each wave launches one; the bar actors add ~0.5s per launch)
+        # silence Ray Data progress bars / per-Dataset stat logs for the
+        # fleet warm-up Dataset (the bar actors add ~0.5s per launch)
         ctx = rd.DataContext.get_current()
         ctx.enable_progress_bars = False
         ctx.enable_auto_log_stats = False
@@ -138,8 +182,6 @@ class CrawlJob:
         # the next wave's compute
         self._ckpt_pool = ThreadPoolExecutor(max_workers=1)
         self._ckpt_pending = None
-        # wave Dataset executions (the overlapped part of the pipeline)
-        self._ds_pool = ThreadPoolExecutor(max_workers=max(1, cfg.pipeline_depth))
         if cfg.warm_fleet:
             self._warm()
 
@@ -309,12 +351,12 @@ class CrawlJob:
                     self.trace.extend(tuple(t) for t in json.load(f))
         # in-flight waves: re-build their records from the gate-staged
         # gated slices (no re-dequeue, no re-gate — the shard and gate
-        # cuts already include them; gated_slice_to_refs reproduces the
-        # exact dataset blocks the gates handed out); run() re-launches
-        # their Datasets
+        # cuts already include them, deferred rows parked; the staged
+        # slices give back the exact allowed blocks the gates handed out);
+        # run() re-launches their fetch tasks
         import pyarrow.parquet as pq
 
-        from ..stages.politeness_stage import gated_slice_to_refs
+        from ..stages.politeness_stage import gated_slice_blocks
 
         self._resume_recs = []
         for entry in meta.get("inflight", []):
@@ -322,14 +364,13 @@ class CrawlJob:
             results = []
             n_cand = 0
             for g in range(self.cfg.num_politeness_shards):
-                sl = pq.read_table(
-                    os.path.join(staging, f"gate{g}.parquet")
-                ).to_pandas()
-                if len(sl):
-                    sl["url_hash"] = sl["url_hash"].astype(np.uint64)
-                n_cand += len(sl)
-                results.append(gated_slice_to_refs(
-                    sl, self.cfg.task_urls, self.cfg.num_shards
+                cols = ("url_canon", "priority", "depth", "decision")
+                sl = pq.read_table(os.path.join(staging, f"gate{g}.parquet"),
+                                   columns=list(cols))
+                n_cand += sl.num_rows
+                results.append(gated_slice_blocks(
+                    *(sl.column(c).to_pylist() for c in cols),
+                    self.cfg.task_urls,
                 ))
             rec = self._rec_from_gate_results(
                 entry["wave"], n_cand, entry["trace_base"], results
@@ -356,7 +397,7 @@ class CrawlJob:
     def _rec_from_gate_results(self, wave: int, n_cand: int, trace_base: int,
                                results: list[dict]) -> dict:
         """Build the wave record from the P gates' decide() outputs —
-        counts, allowed-block refs (gate order) and the globally-merged
+        counts, allowed blocks (gate order) and the globally-merged
         trace. Shared shape with checkpoint resume (which recreates the
         same outputs from the staged slices)."""
         import heapq
@@ -378,18 +419,34 @@ class CrawlJob:
         return {
             "wave": wave, "ctr": ctr, "trace_base": trace_base,
             "wave_trace": wave_trace,
-            "ds_refs": [ref for r in results for ref in r["allowed_refs"]],
-            "empty": n_cand == 0, "drained": False, "fut": None,
+            "blocks": [b for r in results for b in r["blocks"]],
+            "empty": n_cand == 0, "drained": False, "tasks": [],
         }
 
+    def _launch_tasks(self, rec: dict) -> None:
+        """Submit one fetch task per allowed block of the wave; their refs
+        stay in the wave record until ``_finish_wave`` gets them."""
+        if not rec["blocks"]:
+            return
+        cfg = self.cfg
+        pairs_tmp = os.path.join(cfg.out_dir, "pairs",
+                                 f".wave{rec['wave']:03d}.building")
+        os.makedirs(pairs_tmp, exist_ok=True)
+        rec["tasks"] = [
+            _wave_task.remote(urls, depths, rec["wave"], pairs_tmp,
+                              cfg.corpus_size, cfg.seed, self.seen.shards)
+            for urls, depths in rec["blocks"]
+        ]
+
     def _launch_wave(self, wave: int) -> dict:
-        """Dequeue + gate + defer-requeue + async Dataset launch for one
-        wave — the shard→gate handoff path: FrontierShards hold their
-        dequeued top-k and push it straight to the politeness actors; the
-        driver only ever handles host counts, decision counts, object refs
-        and the (priority, url) trace pairs. Runs on the driver thread;
-        the Dataset executes on the wave pool, overlapped with older
-        in-flight waves."""
+        """Dequeue + gate + park + fetch-task launch for one wave — the
+        shard→gate handoff path: FrontierShards hold their dequeued top-k
+        and push it straight to the politeness actors, the gates return
+        the allowed blocks inline, and each holding shard parks its
+        deferred rows in place. The driver only ever handles host counts,
+        decision counts, allowed blocks, hold positions and the (priority,
+        url) trace pairs. Runs on the driver thread; the fetch tasks run
+        overlapped with older in-flight waves."""
         import time as _time
 
         cfg = self.cfg
@@ -419,8 +476,8 @@ class CrawlJob:
         }
         P = cfg.num_politeness_shards
         per_gate = ray.get([
-            sh.route_to_gates.remote(wave, salts, self.gates, P)
-            for sh in self.seen.shards
+            sh.route_to_gates.remote(wave, salts, self.gates, P, s)
+            for s, sh in enumerate(self.seen.shards)
         ])
         expected = np.sum(np.asarray(per_gate, dtype=np.int64), axis=0)
         staging = os.path.join(cfg.out_dir, self._staging_rel(wave))
@@ -432,8 +489,7 @@ class CrawlJob:
             futs = [
                 self.gates[g].decide.remote(
                     wave, int(expected[g]), salts,
-                    os.path.join(staging, f"gate{g}.parquet"),
-                    cfg.task_urls, cfg.num_shards,
+                    os.path.join(staging, f"gate{g}.parquet"), cfg.task_urls,
                 )
                 for g in pending
             ]
@@ -458,22 +514,22 @@ class CrawlJob:
         if cfg.keep_trace:
             self.trace.extend(rec["wave_trace"])
 
-        # deferred URLs go back to their shard's queue by ref (gate →
-        # object store → shard; re-eligible at wave+1, requeued BEFORE the
-        # next wave's dequeue fires so the order is canonical)
-        acks = []
+        self._launch_tasks(rec)
+        # every holding shard releases its hold; the deferred rows park in
+        # place, re-eligible at wave+1 — parked BEFORE the next wave's
+        # dequeue fires, so the order is canonical
+        parked: dict[int, list[int]] = {}
         for r in results:
-            for s, ref in r["deferred_refs"].items():
-                acks.append(self.seen.shards[int(s)].defer.remote(ref, wave))
-        ray.get(acks)
-        if rec["ds_refs"]:
-            rec["fut"] = self._ds_pool.submit(
-                self._run_dataset, rec["ds_refs"], wave
-            )
+            for s, pos in r["parked"].items():
+                parked.setdefault(s, []).extend(pos)
+        ray.get([
+            sh.park.remote(wave, parked.get(s, []))
+            for s, (sh, h) in enumerate(zip(self.seen.shards, holds)) if h["n"]
+        ])
         return rec
 
     def _finish_wave(self, rec: dict) -> dict:
-        """Await the wave's Dataset, reconcile the offer barrier, flush the
+        """Await the wave's fetch tasks, reconcile the offer barrier, flush the
         frontier shards, promote the pairs partition. Main thread; waves
         finish in launch order."""
         import time as _time
@@ -481,13 +537,13 @@ class CrawlJob:
         cfg = self.cfg
         wave = rec["wave"]
         ctr = rec["ctr"]
-        if rec["fut"] is not None:
+        if rec["tasks"]:
             t = _time.perf_counter()
-            counters = rec["fut"].result()
+            results = ray.get(rec["tasks"])
+            # the key predates plain tasks; perfbench reads it (wave.dataset_s)
             t = self._mark("w_dataset", t)
-            totals = self._flush_wave(counters, wave)
-            for key in ("fetched", "http_404", "pairs_rows", "parsed_ok",
-                        "parse_err", "links", "links_new"):
+            totals = self._flush_wave(results, wave)
+            for key in _TASK_KEYS + ["links", "links_new"]:
                 ctr[key] = int(totals[key])
             # atomically promote the worker-written pairs fragments
             aio.finalize_partition(
@@ -503,71 +559,7 @@ class CrawlJob:
             )
         return ctr
 
-    def _run_dataset(self, ds_refs: list, wave: int) -> pd.DataFrame:
-        """ONE streaming Dataset pass for a wave over the gate-produced
-        allowed-block refs (task_urls rows each; one block = one task —
-        the rows go object store → fetch task without ever touching the
-        driver): the shared content body (stages/content.run_content:
-        fetch → parse → pairs fragment write → link extract + shard split,
-        per-process cached fetch/parse state). Each task offers its link
-        slices straight to the owning FrontierShard actor — the RPC is the
-        explicit hash-partitioned exchange, moving only (canon, hash, host,
-        depth) projections. The shards buffer offers per wave and min-merge
-        concurrent duplicates (order-independent, replay-safe); survivors
-        enqueue at the wave-end flush. Tasks return one counter row each;
-        links never reach the driver. Runs on a wave-pool thread
-        (overlapped waves each get one Dataset execution)."""
-        cfg = self.cfg
-        fetch_fn = cached_fetch_batch(cfg.corpus_size, cfg.seed)
-        parse_fn = cached_parse_batch()
-        pairs_root = os.path.join(cfg.out_dir, "pairs")
-        pairs_tmp = os.path.join(pairs_root, f".wave{wave:03d}.building")
-        os.makedirs(pairs_tmp, exist_ok=True)
-        num_shards = cfg.num_shards
-        filter_shards = self.seen.shards
-
-        def fetch_parse_links(batch: pa.Table) -> pa.Table:
-            import hashlib as _hashlib
-            import time as _time
-
-            name = _hashlib.blake2b(
-                "|".join(batch.column("url_canon").to_pylist()).encode(),
-                digest_size=8,
-            ).hexdigest()
-            ctr, us, slices = run_content(
-                batch, fetch_fn, parse_fn,
-                os.path.join(pairs_tmp, f"part-{name}.parquet"), num_shards,
-            )
-            t0 = _time.perf_counter()
-            # offer links to their hash shard (fire-and-forget: the wave-end
-            # flush barrier reconciles on the per-shard offer row counts this
-            # row reports, so the task never blocks on shard RPC round-trips)
-            per_shard = np.zeros(num_shards, dtype=np.int64)
-            for s, canons, hashes, hosts, depths in slices:
-                filter_shards[s].offer.remote(canons, hashes, hosts, depths, wave)
-                per_shard[s] = len(hashes)
-            t_offer = _time.perf_counter() - t0
-            return pa.table(
-                {
-                    **{k: pa.array([ctr[k]], pa.int64()) for k in (
-                        "fetched", "http_404", "pairs_rows", "parsed_ok",
-                        "parse_err")},
-                    "offers": pa.array([per_shard.tolist()], pa.list_(pa.int64())),
-                    **{f"t_{k}": pa.array([us[k] / 1e6], pa.float64())
-                       for k in ("fetch", "parse", "write", "links")},
-                    "t_offer": pa.array([t_offer], pa.float64()),
-                }
-            )
-
-        ds = rd.from_arrow_refs(ds_refs)
-        return ds.map_batches(
-            fetch_parse_links,
-            batch_format="pyarrow",
-            batch_size=None,  # one block = one task (granularity set above)
-            num_cpus=1,
-        ).to_pandas()  # one tiny counter row per task
-
-    def _flush_wave(self, counters: pd.DataFrame, wave: int) -> dict:
+    def _flush_wave(self, results: list[dict], wave: int) -> dict:
         """Wave-end barrier: the offers were fired without acks, so
         reconcile on the per-shard offered-row counts the tasks reported; a
         shard that hasn't seen its full count yet returns None and is
@@ -578,7 +570,7 @@ class CrawlJob:
         num_shards = self.cfg.num_shards
         filter_shards = self.seen.shards
         t = _time.perf_counter()
-        expected = np.sum(np.stack(counters["offers"].to_numpy()), axis=0)
+        expected = np.sum([r["offers"] for r in results], axis=0)
         flushed: list = [None] * num_shards
         pending_shards = list(range(num_shards))
         deadline = _time.monotonic() + 120.0
@@ -607,12 +599,10 @@ class CrawlJob:
                 _time.sleep(0.002)
         t = self._mark("w_flush", t)
         for key in ("t_fetch", "t_parse", "t_write", "t_links", "t_offer"):
-            self.phase_times[key] = self.phase_times.get(key, 0.0) + float(
-                counters[key].sum()
+            self.phase_times[key] = self.phase_times.get(key, 0.0) + sum(
+                r[key] for r in results
             )
-        totals = counters[[
-            "fetched", "http_404", "pairs_rows", "parsed_ok", "parse_err"
-        ]].sum().to_dict()
+        totals = {k: sum(r[k] for r in results) for k in _TASK_KEYS}
         totals["links"] = sum(f[0] for f in flushed)
         totals["links_new"] = sum(f[1] for f in flushed)
         return totals
@@ -624,10 +614,7 @@ class CrawlJob:
         inflight: deque[dict] = deque()
         if resume and self.resume():
             for rec in self._resume_recs:
-                if rec["ds_refs"]:
-                    rec["fut"] = self._ds_pool.submit(
-                        self._run_dataset, rec["ds_refs"], rec["wave"]
-                    )
+                self._launch_tasks(rec)
                 inflight.append(rec)
             self._resume_recs = []
             next_wave = (inflight[-1]["wave"] if inflight else self.wave) + 1
@@ -638,8 +625,8 @@ class CrawlJob:
             next_wave = 1
 
         # launching wave w needs every flush ≤ w-lag applied, which the
-        # slot count only guarantees for depth ≤ visibility_lag (and the
-        # two in-flight Dataset threads cap useful depth at 2)
+        # slot count only guarantees for depth ≤ visibility_lag (the
+        # default lag is at most 2, so useful depth is capped at 2)
         depth = min(2, max(1, cfg.pipeline_depth))
         depth = min(depth, cfg.visibility_lag or depth)
         stop_launching = False
@@ -687,7 +674,6 @@ class CrawlJob:
     def shutdown(self) -> None:
         self.join_checkpoint()
         self._ckpt_pool.shutdown(wait=True)
-        self._ds_pool.shutdown(wait=True)
         self.seen.shutdown()
         for g in self.gates:
             ray.kill(g)

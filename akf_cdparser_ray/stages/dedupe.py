@@ -174,7 +174,7 @@ class FrontierShard:
         self.filter = CuckooFilter(capacity)
         self.pending: dict[int, dict[int, tuple]] = {}  # wave -> hash -> meta
         self.offered: dict[int, int] = {}               # wave -> rows offered
-        self._held: pd.DataFrame | None = None          # dequeue_hold buffer
+        self._held: pd.DataFrame | None = None          # dequeue_hold → park
         self.future: list[tuple[int, pd.DataFrame]] = []  # (visible_at, sorted run)
         self.runs: list[pd.DataFrame] = []
         self.max_runs = 8  # compact when exceeded (amortized O(log) merges)
@@ -451,7 +451,7 @@ class FrontierShard:
         (the shard→gate handoff path): only the row count and per-host
         counts return to the driver, which needs them for the hot-host
         salt decision. ``route_to_gates`` ships the held rows straight to
-        the politeness actors."""
+        the politeness actors; ``park`` releases the hold."""
         assert getattr(self, "_held", None) is None, "previous hold not routed"
         tbl = self.dequeue(k, wave)
         df = tbl.to_pandas()
@@ -462,15 +462,16 @@ class FrontierShard:
         return {"n": len(df), "hosts": counts}
 
     def route_to_gates(self, wave: int, salts: dict, gates: list,
-                       num_gate_shards: int) -> list[int]:
+                       num_gate_shards: int, src: int) -> list[int]:
         """Partition the held rows by politeness shard (hot hosts salted by
         url_hash) and push each slice actor→actor to its gate's collect
-        buffer. Returns per-gate row counts (the driver's decide barrier).
-        Rows never touch the driver."""
+        buffer as plain column lists, tagged with this shard's index
+        ``src`` and each row's position in the hold. The hold stays here
+        until ``park``. Returns per-gate row counts (the driver's decide
+        barrier). Rows never touch the driver."""
         from .politeness_stage import host_shard
 
         df = self._held
-        self._held = None
         per_gate = [0] * num_gate_shards
         if df is None or not len(df):
             return per_gate
@@ -486,11 +487,17 @@ class FrontierShard:
             if g is None:
                 g = cache[key] = host_shard(h, salt, num_gate_shards)
             gshard[i] = g
+        urls = df["url_canon"].tolist()
+        prios = df["priority"].tolist()
+        depths = df["depth"].tolist()
         acks = []
         for g in range(num_gate_shards):
-            sel = df[gshard == g]
-            if len(sel):
-                acks.append(gates[g].collect.remote(wave, sel.reset_index(drop=True)))
+            sel = np.flatnonzero(gshard == g).tolist()
+            if sel:
+                acks.append(gates[g].collect.remote(wave, (
+                    src, sel, [urls[i] for i in sel], [hosts[i] for i in sel],
+                    [prios[i] for i in sel], [depths[i] for i in sel],
+                )))
                 per_gate[g] = len(sel)
         # block until the gates have BUFFERED every slice: the driver
         # ray.gets this call before firing decide(), so decide's barrier
@@ -498,6 +505,19 @@ class FrontierShard:
         # collect never calls back into a FrontierShard.
         ray.get(acks)
         return per_gate
+
+    def park(self, wave: int, positions: list[int]) -> int:
+        """Release the hold routed for ``wave``: the rows the gates
+        deferred (``positions`` in the hold, any order) stay in this
+        shard as one run re-eligible from wave+1 — the same ``future``
+        entry ``defer`` of those rows makes, without their round trip
+        through the gates. A subset of the sorted hold is sorted."""
+        held, self._held = self._held, None
+        if len(positions):
+            run = held.iloc[np.sort(np.asarray(positions, dtype=np.int64))]
+            self.future.append((wave + 1, run.reset_index(drop=True)))
+            self._op_gen += 1
+        return len(positions)
 
     def defer(self, rows: pd.DataFrame, wave: int | None = None) -> int:
         """Deferred (politeness) rows go back as their own run, re-eligible
@@ -702,12 +722,6 @@ class FrontierShard:
 
     def serialize(self) -> bytes:
         return self.filter.serialize()
-
-    def restore_page(self, page: bytes) -> int:
-        self.filter = deserialize_filter(page)
-        self.pending = {}
-        self.offered = {}
-        return self.filter.count
 
 
 # backwards-compatible alias (the actor also serves as the plain URL-seen

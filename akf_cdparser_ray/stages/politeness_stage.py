@@ -5,6 +5,11 @@ Per-host robots caches + wave-refilled token buckets pinned to actors by
 (``hash(host) ⊕ salt``), each salted slice holding ``budget / n_salts`` —
 the explicit skew-splitting the north rule demands. One RPC per shard per
 wave; decisions are deterministic given (bucket state, wave, sorted input).
+
+The decision is one Python pass (``PolitenessShard._decide``; a pandas
+groupby cost ~1 ms per host group whatever the row count), and the wave
+handoff moves plain column lists both ways, so no object-store put and no
+pickled DataFrame sits on the per-wave control path.
 """
 
 from __future__ import annotations
@@ -22,52 +27,31 @@ def host_shard(host: str, salt: int, num_shards: int) -> int:
     return int.from_bytes(digest, "little") % num_shards
 
 
-def gated_slice_to_refs(df, task_urls: int, num_frontier_shards: int) -> dict:
-    """Turn one gate's decided slice into the driver-facing handoff:
-    allowed rows as task_urls-sized Arrow object refs (the wave Dataset's
-    blocks), deferred rows as one ref per owning FrontierShard, counts and
-    the (priority, url) trace pairs. Shared by PolitenessShard.decide
-    (worker-side) and checkpoint resume (driver-side, from the staged
-    slice) so both produce byte-identical dataset blocks."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-
-    from .frontier import FRONTIER_COLS
-
-    has_rows = len(df) > 0
-    allowed = df[df["decision"] == "allow"] if has_rows else df
-    refs = []
-    for i in range(0, len(allowed), task_urls):
-        chunk = allowed.iloc[i: i + task_urls][["url_canon", "depth"]]
-        refs.append(
-            ray.put(pa.Table.from_pandas(chunk.reset_index(drop=True),
-                                         preserve_index=False))
-        )
-    deferred = df[df["decision"] == "defer"] if has_rows else df
-    deferred_refs = {}
-    if len(deferred):
-        sid = (
-            deferred["url_hash"].to_numpy().astype(np.uint64)
-            % np.uint64(num_frontier_shards)
-        ).astype("int64")
-        for s in range(num_frontier_shards):
-            sel = deferred[sid == s]
-            if len(sel):
-                deferred_refs[int(s)] = ray.put(
-                    sel[FRONTIER_COLS].reset_index(drop=True)
-                )
+def gated_slice_blocks(urls: list[str], priorities: list[int],
+                       depths: list[int], decisions: list[str],
+                       task_urls: int) -> dict:
+    """One gate's decided slice, sorted (priority desc, url asc), as the
+    driver-facing handoff: the allowed rows as task_urls-sized
+    ``(urls, depths)`` blocks (one fetch task each), the decision counts
+    and the allowed (priority, url) trace pairs. Shared by
+    ``PolitenessShard.decide`` and checkpoint resume (from the staged
+    slice), so both produce the same blocks."""
+    allowed = [i for i, d in enumerate(decisions) if d == "allow"]
+    a_urls = [urls[i] for i in allowed]
+    a_depths = [depths[i] for i in allowed]
+    n_defer = decisions.count("defer")
     return {
         "counts": {
-            "total": int(len(df)),
-            "allow": int(len(allowed)),
-            "defer": int(len(deferred)),
-            "robots": int((df["decision"] == "robots").sum()) if has_rows else 0,
+            "total": len(decisions),
+            "allow": len(allowed),
+            "defer": n_defer,
+            "robots": len(decisions) - len(allowed) - n_defer,
         },
-        "allowed_refs": refs,
-        "deferred_refs": deferred_refs,
-        "trace": list(zip(allowed["priority"].tolist(),
-                          allowed["url_canon"].tolist())),
+        "blocks": [
+            (a_urls[i: i + task_urls], a_depths[i: i + task_urls])
+            for i in range(0, len(allowed), task_urls)
+        ],
+        "trace": [(priorities[i], urls[i]) for i in allowed],
     }
 
 
@@ -75,62 +59,61 @@ def gated_slice_to_refs(df, task_urls: int, num_frontier_shards: int) -> dict:
 class PolitenessShard:
     """Gate actor for one host-hash shard.
 
-    Two call paths: the legacy driver-mediated ``gate()`` (columnar lists
-    in, decisions out), and the shard→gate handoff — FrontierShards push
-    their dequeued slices into ``collect()`` (actor→actor, rows never
-    touch the driver) and the driver's ``decide()`` barrier sorts the
-    wave's buffer deterministically, applies robots + budgets, persists
-    the gated slice for checkpoint resume, and hands back object refs."""
+    Two call paths: ``gate()`` (columnar lists in, decisions out; the
+    stream crawl's per-lease call), and the wave crawl's shard→gate
+    handoff — FrontierShards push their held slices into ``collect()``
+    (actor→actor, rows never touch the driver) and the driver's
+    ``decide()`` barrier sorts the wave's buffer deterministically,
+    applies robots + budgets, persists the gated slice for checkpoint
+    resume, and returns the allowed blocks inline plus, per source
+    shard, the hold positions of the deferred rows."""
 
     def __init__(self, budgets: dict | None = None):
         self.state = PolitenessState(budgets, robots_fetch=synth_robots_txt)
-        self._buf: dict[int, list] = {}   # wave -> [DataFrame]
+        self._buf: dict[int, list] = {}   # wave -> [routed column slices]
 
-    def _decide_rows(self, hosts: list[str], urls: list[str], wave: int,
-                     salts: dict) -> list[str]:
-        import pandas as pd
+    def _decide(self, hosts: list[str], urls: list[str], wave: int,
+                salts: dict) -> list[str]:
+        """One decision per row: 'allow' | 'defer' | 'robots', equal to
+        the per-row loop (robots check, then one ``try_take`` per
+        robots-allowed row) in one pass over host groups:
 
-        df = pd.DataFrame({"host": hosts, "url_canon": urls})
-        return list(self._decide_frame(df, wave, salts))
-
-    def _decide_frame(self, df, wave: int, salts: dict):
-        """Vectorized gate decision over a (host, url_canon) frame —
-        decision-identical to the old per-row loop (replay traces pinned):
-
-        - per host group (order within a group == frame order), paths are
-          split off with one C-level str op and robots-checked via the
-          vectorized ``allowed_many`` (same verdicts as scalar
-          ``allowed``, test-pinned);
-        - the row loop's sequential ``try_take`` per robots-allowed row
-          equals a bulk take: the first ``min(tokens, k)`` allowed-by-
-          robots rows in order get 'allow', the rest 'defer';
-        - buckets are created lazily exactly like the loop did (only when
-          a host has at least one robots-allowed row), so checkpoint
-          serialize() payloads are unchanged;
-        - refill is idempotent per wave, so one refill per host group
-          equals the loop's per-row refills."""
-        import numpy as np
-
-        n = len(df)
-        decisions = np.empty(n, dtype=object)
-        if not n:
-            return decisions
-        rules_for = self.state.rules_for
-        bucket_for = self.state.bucket_for
-        df = df.reset_index(drop=True)
-        for host, g in df.groupby("host", sort=False):
-            rules = rules_for(host)
-            paths = g["url_canon"].str.split(host, n=1, regex=False).str[-1]
-            ok = np.asarray(rules.allowed_many(paths), dtype=bool)
-            dec = np.where(ok, "defer", "robots").astype(object)
-            if ok.any():
-                bucket = bucket_for(host, salts.get(host, 1))
-                bucket.refill(wave)
-                take = min(int(bucket.tokens), int(ok.sum()))
-                bucket.tokens -= take
-                dec[np.flatnonzero(ok)[:take]] = "allow"
-            decisions[g.index.to_numpy()] = dec
+        - rows are grouped by host in first-seen order (order within a
+          group == row order) and each path is checked with the scalar
+          ``RobotsRules.allowed``;
+        - the sequential ``try_take`` per robots-allowed row equals a bulk
+          take: the first ``min(tokens, k)`` robots-allowed rows get
+          'allow', the rest 'defer';
+        - a bucket is created only for a host with at least one
+          robots-allowed row, as the loop did, so checkpoint
+          ``serialize()`` payloads are unchanged;
+        - refill is idempotent per wave, so one refill per host equals
+          the loop's per-row refills."""
+        groups: dict[str, list[int]] = {}
+        for i, host in enumerate(hosts):
+            rows = groups.get(host)
+            if rows is None:
+                groups[host] = [i]
+            else:
+                rows.append(i)
+        decisions = ["robots"] * len(hosts)
+        for host, rows in groups.items():
+            allowed = self.state.rules_for(host).allowed
+            ok = [i for i in rows if allowed(urls[i].split(host, 1)[-1])]
+            if not ok:
+                continue
+            bucket = self.state.bucket_for(host, salts.get(host, 1))
+            bucket.refill(wave)
+            take = min(int(bucket.tokens), len(ok))
+            bucket.tokens -= take
+            for j, i in enumerate(ok):
+                decisions[i] = "allow" if j < take else "defer"
         return decisions
+
+    def _decide_frame(self, df, wave: int, salts: dict) -> list[str]:
+        """``_decide`` over a (host, url_canon) frame."""
+        return self._decide(df["host"].tolist(), df["url_canon"].tolist(),
+                            wave, salts)
 
     def gate(self, hosts: list[str], urls: list[str], wave: int,
              salts: dict) -> list[str]:
@@ -138,56 +121,64 @@ class PolitenessShard:
         the caller. Returns one decision per row: 'allow' | 'defer' |
         'robots'. (Columnar args: one pickled list per column instead of a
         dict per row — the RPC payload is the wave's hot path.)"""
-        return self._decide_rows(hosts, urls, wave, salts)
+        return self._decide(hosts, urls, wave, salts)
 
-    def collect(self, wave: int, rows) -> int:
-        """Buffer a FrontierShard's routed slice for this wave (arrival
-        order is irrelevant — ``decide`` sorts the union)."""
+    def collect(self, wave: int, rows: tuple) -> int:
+        """Buffer a FrontierShard's routed slice for this wave: ``(src,
+        pos, url_canon, host, priority, depth)``, the source shard and
+        one column list each (arrival order is irrelevant — ``decide``
+        sorts the union)."""
         self._buf.setdefault(wave, []).append(rows)
-        return len(rows)
+        return len(rows[1])
 
     def decide(self, wave: int, expected: int, salts: dict,
-               staging_path: str | None, task_urls: int,
-               num_frontier_shards: int) -> dict | None:
+               staging_path: str | None, task_urls: int) -> dict | None:
         """Wave barrier + decision for this gate's slice of the wave.
         Returns ``None`` until all ``expected`` routed rows have arrived
         (the driver retries; FrontierShards report per-gate counts).
 
         Deterministic regardless of arrival order: the buffered union is
-        sorted by (priority desc, url asc) — the same order the legacy
-        driver-mediated path fed ``gate()`` — before budgets apply.
-        Outputs stay worker-side: the gated slice (rows + decision) is
-        written to ``staging_path`` for checkpoint resume, the allowed
-        rows return as task_urls-sized object refs (the wave Dataset's
-        blocks), the deferred rows as one ref per owning FrontierShard.
-        The driver sees counts, refs and the (priority, url) trace pairs."""
-        import pandas as pd
-
+        sorted by (priority desc, url asc) before budgets apply. The gated
+        slice (rows + decision) is written to ``staging_path`` for
+        checkpoint resume. Returns ``gated_slice_blocks`` (allowed blocks
+        inline, counts, trace pairs) plus ``parked``: source shard → hold
+        positions of its deferred rows (the shard parks them in place)."""
         buf = self._buf.get(wave, [])
-        have = sum(len(b) for b in buf)
-        if have < expected:
+        if sum(len(b[1]) for b in buf) < expected:
             return None
         self._buf.pop(wave, None)
-        if buf:
-            df = pd.concat(buf, ignore_index=True)
-        else:
-            from .frontier import FRONTIER_COLS
-
-            df = pd.DataFrame(columns=FRONTIER_COLS)
-        df = df.sort_values(
-            ["priority", "url_canon"], ascending=[False, True]
-        ).reset_index(drop=True)
-        df["decision"] = (self._decide_frame(df[["host", "url_canon"]], wave,
-                                             salts)
-                          if len(df) else pd.Series(dtype=str))
+        src, pos, urls, hosts, prios, depths = [], [], [], [], [], []
+        for s, p, u, h, pr, d in buf:
+            src += [s] * len(p)
+            pos += p
+            urls += u
+            hosts += h
+            prios += pr
+            depths += d
+        order = sorted(range(len(urls)), key=lambda i: (-prios[i], urls[i]))
+        urls = [urls[i] for i in order]
+        hosts = [hosts[i] for i in order]
+        prios = [prios[i] for i in order]
+        depths = [depths[i] for i in order]
+        decisions = self._decide(hosts, urls, wave, salts)
         if staging_path is not None:
             import pyarrow as pa
             import pyarrow.parquet as pq
 
-            pq.write_table(
-                pa.Table.from_pandas(df, preserve_index=False), staging_path
-            )
-        return gated_slice_to_refs(df, task_urls, num_frontier_shards)
+            pq.write_table(pa.table({
+                "url_canon": pa.array(urls, pa.string()),
+                "host": pa.array(hosts, pa.string()),
+                "priority": pa.array(prios, pa.int64()),
+                "depth": pa.array(depths, pa.int64()),
+                "decision": pa.array(decisions, pa.string()),
+            }), staging_path)
+        out = gated_slice_blocks(urls, prios, depths, decisions, task_urls)
+        parked: dict[int, list[int]] = {}
+        for j, i in enumerate(order):
+            if decisions[j] == "defer":
+                parked.setdefault(src[i], []).append(pos[i])
+        out["parked"] = parked
+        return out
 
     def serialize(self) -> str:
         return json.dumps(
